@@ -16,8 +16,14 @@ measured number instead of a citation:
   it sees, a real PMU exposes.
 * :class:`ObservedTransport` is the tap: a delegating
   :class:`~repro.channel.transport.CacheTransport` that attributes
-  each operation's counter delta to the role that issued it (the
-  per-core PMCs of a real system).  It advertises
+  counter deltas to the role that issued them (the per-core PMCs of a
+  real system).  Attribution happens at **role switches**, not per
+  operation: the defender keeps one counter snapshot for the active
+  (substrate, role) pair and reads the counters again only when the
+  role or substrate changes, charging ``counters(now) - snapshot`` to
+  the role that was active.  Counter deltas add, so this equals the
+  sum of per-operation deltas, at a handful of snapshots per window
+  instead of two per operation.  It advertises
   ``supports_fast_path = False`` so the observer runs the full
   simulation — the analytic fast path never touches the substrate, so
   there would be no events to count.  The two paths are
@@ -52,7 +58,8 @@ frontier; ``docs/stealth.md`` defines the detectability metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .transport import CacheTransport
@@ -126,6 +133,9 @@ class CounterDelta:
 #: The all-zero delta (also the "cold counters" snapshot).
 _ZERO = CounterDelta()
 
+#: :data:`_ZERO` as a plain tuple in field order.
+_NO_COUNTS = (0,) * len(fields(CounterDelta))
+
 
 def read_counters(transport: Any) -> CounterDelta:
     """Normalised counter snapshot of a transport's substrate.
@@ -137,28 +147,27 @@ def read_counters(transport: Any) -> CounterDelta:
     ``inner`` transport is unwrapped.  Only aggregate counters are
     read — no addresses, tags, or victim state.
     """
+    return CounterDelta(*_read_counts(transport))
+
+
+def _read_counts(transport: Any) -> Tuple[int, ...]:
+    """:func:`read_counters` as a plain tuple in field order."""
     inner = getattr(transport, "inner", None)
     if inner is not None:
-        return read_counters(inner)
+        return _read_counts(inner)
     cache = getattr(transport, "cache", None)
     if cache is not None:
         stats = cache.stats
-        return CounterDelta(
-            accesses=stats.accesses, hits=stats.hits, misses=stats.misses,
-            evictions=stats.evictions, flushes=stats.flushes,
-            flush_hits=stats.flush_hits, flush_misses=stats.flush_misses,
-        )
+        return (stats.accesses, stats.hits, stats.misses,
+                stats.evictions, stats.flushes, stats.flush_hits,
+                stats.flush_misses, 0)
     hierarchy = getattr(transport, "hierarchy", None)
     if hierarchy is not None:
         stats = hierarchy.stats
         hits = stats.l1_hits + stats.l2_hits
-        return CounterDelta(
-            accesses=hits + stats.memory_fetches, hits=hits,
-            misses=stats.memory_fetches, evictions=stats.evictions,
-            flushes=stats.flushes, flush_hits=stats.flush_hits,
-            flush_misses=stats.flush_misses,
-            back_invalidates=stats.back_invalidates,
-        )
+        return (hits + stats.memory_fetches, hits, stats.memory_fetches,
+                stats.evictions, stats.flushes, stats.flush_hits,
+                stats.flush_misses, stats.back_invalidates)
     raise TypeError(
         f"{type(transport).__name__} exposes neither a 'cache' nor a "
         f"'hierarchy' substrate — nothing for a defender to count"
@@ -314,6 +323,17 @@ class DefenderObserver:
     — accumulates in the :attr:`ambient` buckets instead, so nothing
     the tap sees is ever dropped.
 
+    Attribution is lazy.  The defender remembers the active
+    (substrate, role) pair and one counter snapshot of that substrate.
+    When the pair changes it accrues the counters moved since the
+    snapshot to the role that was active.  Opening or closing a window
+    and reading :attr:`ambient` *settle*: they accrue, then record the
+    accrued counts into the open window or the ambient buckets.  Closed
+    :attr:`windows` were settled by :meth:`end_window`, so reading them
+    needs no settling.  Every counter change of the active substrate is
+    charged to the active role, so a substrate is watched through one
+    tap of one defender at a time.
+
     The defender consumes **no randomness** and perturbs **no state**:
     it only subtracts counter snapshots the substrate maintains
     anyway, which is what keeps a watched attack bit-identical to an
@@ -323,10 +343,34 @@ class DefenderObserver:
     def __init__(self, policy: Optional[DetectionPolicy] = None) -> None:
         self.policy = policy if policy is not None else DetectionPolicy()
         self.windows: List[WindowCounters] = []
-        self.ambient: Dict[str, CounterDelta] = {
+        self._ambient: Dict[str, CounterDelta] = {
             "attacker": _ZERO, "victim": _ZERO,
         }
         self._current: Optional[WindowCounters] = None
+        # The (substrate, role) pair whose counters are pending, and
+        # the substrate's snapshot at the last accrual.  The substrate
+        # is the tap's inner transport, never the tap itself: the tap
+        # holds this defender, and a tap -> defender -> tap cycle
+        # would keep every watched cache alive until cyclic GC.
+        self._active: Optional[Tuple[CacheTransport, str]] = None
+        self._mark: Tuple[int, ...] = ()
+        # Per-role counts accrued at role switches since the open
+        # window (or the ambient buckets) last absorbed them: plain
+        # tuples in field order, so a switch allocates no CounterDelta.
+        # Recording a CounterDelta at every switch instead puts the
+        # defender_tap_overhead perf bench at a 1.56-1.59x median
+        # (1.41-1.45x even with tuple marks or tuple-based __add__ /
+        # __sub__: building the frozen dataclass dominates), over its
+        # 1.5x gate; this buffer reads 1.14x.
+        self._accrued: Dict[str, Tuple[int, ...]] = {
+            "attacker": _NO_COUNTS, "victim": _NO_COUNTS,
+        }
+
+    @property
+    def ambient(self) -> Dict[str, CounterDelta]:
+        """Per-role counters of traffic outside any window."""
+        self._settle()
+        return self._ambient
 
     # ------------------------------------------------------------------
     # Tap
@@ -337,16 +381,45 @@ class DefenderObserver:
         return ObservedTransport(transport, self)
 
     def record(self, role: str, delta: CounterDelta) -> None:
-        """One operation's counter delta, attributed to ``role``."""
-        if role not in self.ambient:
+        """A counter delta, attributed to ``role``."""
+        if role not in self._ambient:
             raise ValueError(f"unknown role {role!r}")
         window = self._current
         if window is None:
-            self.ambient[role] = self.ambient[role] + delta
+            self._ambient[role] = self._ambient[role] + delta
         elif role == "attacker":
             window.attacker = window.attacker + delta
         else:
             window.victim = window.victim + delta
+
+    def _accrue(self) -> None:
+        """Accrue the counters moved since the mark to the pending role."""
+        active = self._active
+        if active is None:
+            return
+        substrate, role = active
+        now = _read_counts(substrate)
+        self._accrued[role] = tuple(map(
+            operator.add, self._accrued[role],
+            map(operator.sub, now, self._mark),
+        ))
+        self._mark = now
+
+    def _settle(self) -> None:
+        """Accrue, then record the accrued counts where they belong."""
+        self._accrue()
+        for role, counts in self._accrued.items():
+            if any(counts):
+                self.record(role, CounterDelta(*counts))
+                self._accrued[role] = _NO_COUNTS
+
+    def _switch(self, active: Tuple[CacheTransport, str]) -> None:
+        """Accrue, then make ``active`` the pending (substrate, role)."""
+        previous = self._active
+        self._accrue()
+        self._active = active
+        if previous is None or previous[0] is not active[0]:
+            self._mark = _read_counts(active[0])
 
     # ------------------------------------------------------------------
     # Windows
@@ -356,6 +429,7 @@ class DefenderObserver:
         """Open a probe window (closing any window left open)."""
         if self._current is not None:
             self.end_window()
+        self._settle()
         self._current = WindowCounters(index=len(self.windows),
                                        primitive=primitive)
 
@@ -364,6 +438,7 @@ class DefenderObserver:
         window = self._current
         if window is None:
             return None
+        self._settle()
         self._current = None
         window.flags = self.policy.flags(window)
         self.windows.append(window)
@@ -407,7 +482,7 @@ class DefenderObserver:
 
 
 class ObservedTransport(CacheTransport):
-    """A transport with a defender's counter tap on every operation.
+    """A transport under a defender's counter tap.
 
     Delegates every operation and capability to ``inner`` except
     ``supports_fast_path``, which is forced off: the analytic fast
@@ -417,6 +492,11 @@ class ObservedTransport(CacheTransport):
     path and draws the same RNG streams (asserted by the equivalence
     suite), so forcing it changes *nothing* the attacker sees — only
     what the defender does.
+
+    An operation only checks that its (substrate, role) pair is the
+    defender's active one; the defender snapshots counters only when
+    that pair changes (see :class:`DefenderObserver`), so a run of
+    same-role operations costs one identity test each.
     """
 
     def __init__(self, inner: CacheTransport,
@@ -427,21 +507,23 @@ class ObservedTransport(CacheTransport):
         self.supports_fast_path = False
         self.noise_via_victim = inner.noise_via_victim
         self.probe_on_empty_window = inner.probe_on_empty_window
-
-    def _recorded(self, role: str, operation: Any, address: int) -> Any:
-        before = read_counters(self.inner)
-        result = operation(address)
-        self.defender.record(role, read_counters(self.inner) - before)
-        return result
+        self._as_attacker = (inner, "attacker")
+        self._as_victim = (inner, "victim")
 
     def access(self, address: int) -> bool:
-        return self._recorded("attacker", self.inner.access, address)
+        if self.defender._active is not self._as_attacker:
+            self.defender._switch(self._as_attacker)
+        return self.inner.access(address)
 
     def flush_line(self, address: int) -> bool:
-        return self._recorded("attacker", self.inner.flush_line, address)
+        if self.defender._active is not self._as_attacker:
+            self.defender._switch(self._as_attacker)
+        return self.inner.flush_line(address)
 
     def victim_access(self, address: int) -> bool:
-        return self._recorded("victim", self.inner.victim_access, address)
+        if self.defender._active is not self._as_victim:
+            self.defender._switch(self._as_victim)
+        return self.inner.victim_access(address)
 
     def cold(self) -> "ObservedTransport":
         """A cold inner substrate under the *same* defender's tap."""

@@ -8,11 +8,14 @@ compare probe channels).  Three layers:
 
 * :mod:`repro.perf.bench` — the calibrated timing core
   (:func:`measure` runs a callable in geometrically growing batches
-  until the sample is long enough to trust).
+  until the sample is long enough to trust;
+  :func:`~repro.perf.bench.measure_interleaved` alternates several
+  callables so their ratio survives host drift).
 * :mod:`repro.perf.suite` — the benchmark suite: cipher enc/s (traced
-  vs. untraced), observer fast-path observations/s, voting updates/s,
-  and engine first-round trials/s, plus the ratio gates
-  (:data:`MIN_UNTRACED_OVER_TRACED`).
+  vs. untraced), bare vs. defender-tapped transport sweeps, observer
+  fast-path observations/s, voting updates/s, and engine first-round
+  trials/s, plus the ratio gates (:data:`MIN_UNTRACED_OVER_TRACED`,
+  :data:`~repro.perf.suite.MAX_DEFENDER_TAP_OVERHEAD`).
 * :mod:`repro.perf.artifact` — the schema-validated ``BENCH_perf.json``
   record (``repro.perf/bench/v1``) and the appending trajectory file
   that anchors the regression policy.

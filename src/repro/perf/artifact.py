@@ -17,10 +17,12 @@ Record shape (``repro.perf/bench/v1``)::
         ...
       ],
       "ratios": {"gift64_untraced_over_traced": 25.1,
-                 "gift64_batch_over_untraced": 50.3, ...},
+                 "gift64_batch_over_untraced": 50.3,
+                 "defender_tap_overhead": 1.2, ...},
       "gates": {
         "min_untraced_over_traced": 5.0,
         "min_batch_over_untraced": 20.0,
+        "max_defender_tap_overhead": 1.5,
         "regression_headroom": 2.0,
         "baseline_untraced_over_traced": 24.0 | null,
         "failures": [],
@@ -44,6 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 from .suite import (
+    MAX_DEFENDER_TAP_OVERHEAD,
     MIN_BATCH_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
     REGRESSION_HEADROOM,
@@ -108,6 +111,7 @@ def validate_record(record: Mapping[str, Any]) -> None:
     gates = _require(record, "gates", Mapping, "record")
     _require(gates, "min_untraced_over_traced", (int, float), "gates")
     _require(gates, "min_batch_over_untraced", (int, float), "gates")
+    _require(gates, "max_defender_tap_overhead", (int, float), "gates")
     _require(gates, "regression_headroom", (int, float), "gates")
     if "baseline_untraced_over_traced" not in gates:
         raise PerfSchemaError(
@@ -140,6 +144,7 @@ def build_record(report: PerfReport,
         "gates": {
             "min_untraced_over_traced": MIN_UNTRACED_OVER_TRACED,
             "min_batch_over_untraced": MIN_BATCH_OVER_UNTRACED,
+            "max_defender_tap_overhead": MAX_DEFENDER_TAP_OVERHEAD,
             "regression_headroom": REGRESSION_HEADROOM,
             "baseline_untraced_over_traced": baseline_ratio,
             "failures": failures,

@@ -13,7 +13,12 @@ each benchmarked here:
 * the **voting decision core** — per-window count updates
   (``voting_updates``);
 * the **engine trial body** — one complete first-round attack, the
-  unit Fig. 3 / Table I fan out (``engine_first_round_trial``).
+  unit Fig. 3 / Table I fan out (``engine_first_round_trial``);
+* the **transport and the defender tap** — flush, victim and reload
+  sweeps over the 16 monitored lines, on a bare transport
+  (``transport_plain_ops``) and through a defender's tap inside an
+  open window (``transport_watched_ops``).  The two are timed in
+  alternating slices, so host drift cannot fake a ratio between them.
 
 The regression gates are *ratios* between benches on the same machine,
 so they hold on any hardware: the untraced cipher must stay at least
@@ -24,7 +29,9 @@ bitsliced batch path must deliver at least
 fabric), and the traced path must not silently rot — the
 untraced/traced ratio may not grow past :data:`REGRESSION_HEADROOM`
 times the ratio recorded in the trajectory file (a growing ratio means
-traced got slower relative to the untraced anchor).
+traced got slower relative to the untraced anchor).  The defender tap
+may cost at most :data:`MAX_DEFENDER_TAP_OVERHEAD` times the bare
+transport (``defender_tap_overhead``, a ceiling rather than a floor).
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional
 
+from ..channel.defender import DefenderObserver
 from ..channel.observer import ObservationChannel
+from ..channel.transport import CacheTransport, SingleLevelTransport
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
 from ..core.voting import VotingEliminator, VotingPolicy
 from ..targets.gift import TracedGift64, TracedGift128
 from ..seeding import derive_key, derive_rng
-from .bench import BenchResult, measure
+from .bench import BenchResult, measure, measure_interleaved
 
 #: Hard gate: the trace-free cipher path must beat the traced path by
 #: at least this factor (the traced path allocates ~900 MemoryAccess
@@ -61,11 +70,25 @@ MIN_BATCH_OVER_UNTRACED: float = 20.0
 #: relative to the untraced anchor).
 REGRESSION_HEADROOM: float = 2.0
 
+#: Hard gate: a transport under a defender's tap may run at most this
+#: many times slower than the bare transport (the tap attributes
+#: counters at role switches; per-operation snapshots cost ~15x).
+MAX_DEFENDER_TAP_OVERHEAD: float = 1.5
+
 #: Plaintexts cycled through the cipher/observer benches.
 _PLAINTEXT_POOL: int = 256
 
 #: Synthetic probe windows cycled through the voting bench.
 _OBSERVATION_POOL: int = 512
+
+#: Lines each transport bench sweeps (the 16 S-box lines a GIFT-64
+#: attack monitors under 1-word lines).
+_TAP_LINES: int = 16
+
+#: Timing floor of the transport pair whatever ``min_seconds`` says:
+#: the tap ceiling is a ratio of two ~40 us sweeps, and over 10 ms
+#: samples one scheduler hiccup moves it by ~0.3x.
+_TAP_MIN_SECONDS: float = 0.05
 
 #: Blocks per ``encrypt_batch`` call in the batch cipher bench (one
 #: bench op encrypts this many blocks; large enough to amortise the
@@ -114,6 +137,15 @@ class PerfReport:
                 ratios[f"gift{width}_batch_over_untraced"] = (
                     batch.ops_per_s * _BATCH_BLOCKS / fast.ops_per_s
                 )
+        try:
+            plain = self.result("transport_plain_ops")
+            watched = self.result("transport_watched_ops")
+        except KeyError:
+            return ratios
+        if watched.ops_per_s > 0.0:
+            ratios["defender_tap_overhead"] = (
+                plain.ops_per_s / watched.ops_per_s
+            )
         return ratios
 
 
@@ -130,10 +162,18 @@ def check_gates(ratios: Dict[str, float],
     ratio must stay within ``headroom`` times it, bounding how much the
     traced path may regress relative to the untraced anchor.
     Batch-over-untraced ratios are gated against ``min_batch_ratio``
-    instead of ``min_ratio``.
+    instead of ``min_ratio``; ``defender_tap_overhead`` is a ceiling,
+    gated against :data:`MAX_DEFENDER_TAP_OVERHEAD`.
     """
     failures: List[str] = []
     for name, ratio in sorted(ratios.items()):
+        if name == "defender_tap_overhead":
+            if ratio > MAX_DEFENDER_TAP_OVERHEAD:
+                failures.append(
+                    f"{name} = {ratio:.2f}x, above the "
+                    f"{MAX_DEFENDER_TAP_OVERHEAD:.1f}x gate"
+                )
+            continue
         floor = (min_batch_ratio if name.endswith("_batch_over_untraced")
                  else min_ratio)
         if ratio < floor:
@@ -234,6 +274,32 @@ def _voting_bench(seed: int) -> Dict[str, object]:
     }
 
 
+def _transport_benches() -> List[Dict[str, object]]:
+    # One op = flush, victim and reload sweeps over the monitored
+    # lines: the role pattern of one Flush+Reload window.  The watched
+    # transport's window stays open, so the bench times the tap, not
+    # window bookkeeping (and archives no windows, however many ops).
+    geometry = AttackConfig().geometry
+    addresses = [line * geometry.line_bytes for line in range(_TAP_LINES)]
+
+    def sweep(transport: CacheTransport) -> None:
+        for address in addresses:
+            transport.flush_line(address)
+        for address in addresses:
+            transport.victim_access(address)
+        for address in addresses:
+            transport.access(address)
+
+    plain = SingleLevelTransport(geometry)
+    defender = DefenderObserver()
+    watched = defender.watch(SingleLevelTransport(geometry))
+    defender.begin_window("perf")
+    return [
+        {"name": "transport_plain_ops", "fn": lambda: sweep(plain)},
+        {"name": "transport_watched_ops", "fn": lambda: sweep(watched)},
+    ]
+
+
 def _engine_trial_bench(seed: int) -> Dict[str, object]:
     # The trial body of the E1/E2 sweeps: a fresh first-round attack
     # per call (victim construction included, exactly as the engine
@@ -255,7 +321,8 @@ def run_suite(*, quick: bool = False, seed: int = 0,
 
     ``--quick`` shrinks the per-bench timing floor and drops the
     GIFT-128 cipher pair; the gates are ratio-based, so the quick run
-    is still authoritative for CI.
+    is still authoritative for CI.  The transport pair is timed
+    interleaved (see :func:`~repro.perf.bench.measure_interleaved`).
     """
     if min_seconds is None:
         min_seconds = 0.05 if quick else 0.4
@@ -268,4 +335,9 @@ def run_suite(*, quick: bool = False, seed: int = 0,
                 min_seconds=min_seconds, clock=clock)
         for bench in benches
     ]
+    results += measure_interleaved(
+        [(bench["name"], bench["fn"])  # type: ignore[misc]
+         for bench in _transport_benches()],
+        min_seconds=max(min_seconds, _TAP_MIN_SECONDS), clock=clock,
+    )
     return PerfReport(quick=quick, seed=seed, results=results)

@@ -2,11 +2,17 @@
 detection policy, and — the load-bearing invariant — transparency:
 watching an attack must not change what the attacker sees or spends."""
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.multilevel import InclusionPolicy, TwoLevelHierarchy
 from repro.channel import (
+    CacheTransport,
     CounterDelta,
     DefenderObserver,
     DetectionPolicy,
@@ -18,6 +24,7 @@ from repro.channel import (
 )
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
+from repro.core.errors import AttackError
 from repro.gift.lut import TracedGift64
 from repro.seeding import derive_key
 
@@ -28,6 +35,13 @@ def _watched_channel(primitive, seed=9, defender=None, **overrides):
     config = AttackConfig(probe_strategy=primitive, seed=seed, **overrides)
     return victim, defender, ObservationChannel(victim, config,
                                                 defender=defender)
+
+
+def _everything_seen(defender):
+    """All counters a defender attributed: windows plus ambient."""
+    ambient = defender.ambient
+    return (sum((w.total for w in defender.windows), CounterDelta())
+            + ambient["attacker"] + ambient["victim"])
 
 
 class TestCounterDelta:
@@ -248,9 +262,10 @@ class TestTransparency:
 
         defender = DefenderObserver()
         config = AttackConfig(seed=0)
+        watched_runner = ObservationChannel(victim, config,
+                                            defender=defender)
         watched = GrinchAttack(
-            victim, config,
-            runner=ObservationChannel(victim, config, defender=defender),
+            victim, config, runner=watched_runner,
         ).recover_master_key()
 
         assert watched.master_key == key
@@ -259,6 +274,9 @@ class TestTransparency:
         assert unwatched.total_encryptions == 464
         assert watched.total_encryptions == 464
         assert defender.report().windows == 464
+        # Conservation over the whole run.
+        assert _everything_seen(defender) == \
+            read_counters(watched_runner.transport.inner)
 
     def test_observations_identical_with_and_without_defender(self):
         victim = TracedGift64(derive_key(128, "defender-tests", 2))
@@ -268,3 +286,155 @@ class TestTransparency:
         for plaintext in (0, 1, 0xFEDCBA9876543210):
             assert plain.observe(plaintext, 1) == \
                 watched.observe(plaintext, 1)
+
+
+class _SnapshotTap(CacheTransport):
+    """Reference tap: snapshot the counters around every operation.
+
+    The straightforward per-operation attribution that
+    :class:`ObservedTransport` must reproduce exactly while reading
+    the counters only at role switches.
+    """
+
+    def __init__(self, inner, defender):
+        self.inner = inner
+        self.defender = defender
+
+    def _recorded(self, role, operation, address):
+        before = read_counters(self.inner)
+        result = operation(address)
+        self.defender.record(role, read_counters(self.inner) - before)
+        return result
+
+    def access(self, address):
+        return self._recorded("attacker", self.inner.access, address)
+
+    def flush_line(self, address):
+        return self._recorded("attacker", self.inner.flush_line, address)
+
+    def victim_access(self, address):
+        return self._recorded("victim", self.inner.victim_access, address)
+
+    def cold(self):
+        return _SnapshotTap(self.inner.cold(), self.defender)
+
+    @property
+    def line_bytes(self):
+        return self.inner.line_bytes
+
+
+def _small_hierarchy(inclusion):
+    # Small enough that 32 lines force evictions and back-invalidates.
+    return TwoLevelHierarchy(
+        l1_geometry=CacheGeometry(total_lines=8, ways=2),
+        l2_geometry=CacheGeometry(total_lines=16, ways=4),
+        inclusion=inclusion,
+    )
+
+
+_SUBSTRATES = {
+    "single-lru": lambda: SingleLevelTransport(
+        CacheGeometry(total_lines=16, ways=4)),
+    "single-random": lambda: SingleLevelTransport(
+        CacheGeometry(total_lines=16, ways=4), policy="random"),
+    "shared-inclusive": lambda: SharedL2Transport(
+        _small_hierarchy(InclusionPolicy.INCLUSIVE)),
+    "shared-exclusive": lambda: SharedL2Transport(
+        _small_hierarchy(InclusionPolicy.EXCLUSIVE)),
+}
+
+#: One step of a random tap stream: an operation on one of the taps
+#: (the original or a cold one), or defender/tap bookkeeping.
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["access", "flush_line",
+                                   "victim_access"]),
+                  st.integers(0, 3), st.integers(0, 31)),
+        st.tuples(st.sampled_from(["begin", "end", "cold", "ambient"])),
+    ),
+    max_size=120,
+)
+
+
+def _drive(substrate, tap_class, steps):
+    """Run ``steps`` through a ``tap_class`` tap; return what it saw."""
+    defender = DefenderObserver()
+    taps = [tap_class(substrate, defender)]
+    seen = []
+    for step in steps:
+        kind = step[0]
+        if kind == "begin":
+            defender.begin_window("stream")
+        elif kind == "end":
+            defender.end_window()
+        elif kind == "cold":
+            taps.append(taps[0].cold())
+        elif kind == "ambient":
+            seen.append(dict(defender.ambient))
+        else:
+            tap = taps[step[1] % len(taps)]
+            seen.append(getattr(tap, kind)(step[2] * tap.line_bytes))
+    defender.end_window()
+    return defender, seen
+
+
+class TestRoleSwitchAttribution:
+    """The role-switch tap against the per-operation reference."""
+
+    @pytest.mark.parametrize("substrate", sorted(_SUBSTRATES))
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_STEPS)
+    def test_matches_per_operation_snapshots(self, substrate, steps):
+        make = _SUBSTRATES[substrate]
+        watched, watched_seen = _drive(make(), ObservedTransport, steps)
+        reference, reference_seen = _drive(make(), _SnapshotTap, steps)
+        # Same operation results and same mid-stream ambient reads...
+        assert watched_seen == reference_seen
+        # ... and the same windows (attacker, victim, flags), ambient
+        # buckets and report.
+        assert watched.windows == reference.windows
+        assert watched.ambient == reference.ambient
+        assert watched.report().as_dict() == reference.report().as_dict()
+
+
+class TestConservation:
+    """Nothing the tap sees is ever dropped."""
+
+    @pytest.mark.parametrize("inclusion", [
+        None, InclusionPolicy.INCLUSIVE, InclusionPolicy.EXCLUSIVE,
+    ])
+    def test_windows_plus_ambient_equal_the_substrate(self, inclusion):
+        victim = TracedGift64(derive_key(128, "defender-tests", 4))
+        config = AttackConfig(seed=4)
+        defender = DefenderObserver()
+        transport = (None if inclusion is None
+                     else SharedL2Transport(TwoLevelHierarchy(
+                         inclusion=inclusion)))
+        channel = ObservationChannel(victim, config, transport=transport,
+                                     defender=defender)
+        try:
+            GrinchAttack(victim, config, runner=channel) \
+                .attack_first_round()
+        except AttackError:
+            # An exclusive hierarchy defeats the cross-core attack
+            # (E20); its windows must still add up.
+            assert inclusion is InclusionPolicy.EXCLUSIVE
+        assert defender.windows
+        assert _everything_seen(defender) == \
+            read_counters(channel.transport.inner)
+
+
+class TestNoReferenceCycle:
+    def test_dropped_channel_frees_its_substrate_without_gc(self):
+        # The defender holds the tap's inner transport, not the tap:
+        # a tap -> defender -> tap cycle would keep the whole cache
+        # alive until cyclic GC ran.
+        gc.disable()
+        try:
+            _, defender, channel = _watched_channel("flush_reload")
+            channel.observe(0x0123456789ABCDEF, 1)
+            substrate = weakref.ref(channel.transport.inner.cache)
+            del channel, defender
+            assert substrate() is None
+        finally:
+            gc.enable()

@@ -53,6 +53,19 @@ class TestBuildRecord:
         record = build_record(make_report(), baseline_ratio=8.0)
         assert record["gates"]["passed"]
 
+    def test_defender_tap_ceiling_gate_fails(self):
+        report = make_report()
+        report.results.extend([
+            BenchResult("transport_plain_ops", ops=600, seconds=1.0),
+            BenchResult("transport_watched_ops", ops=100, seconds=1.0),
+        ])
+        record = build_record(report)
+        assert record["ratios"]["defender_tap_overhead"] == 6.0
+        assert record["gates"]["max_defender_tap_overhead"] == 1.5
+        assert not record["gates"]["passed"]
+        assert any("defender_tap_overhead" in failure
+                   for failure in record["gates"]["failures"])
+
 
 class TestValidateRecord:
     def test_rejects_wrong_schema(self):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.perf.bench import MAX_BATCH, BenchResult, measure
+from repro.perf.bench import (
+    MAX_BATCH,
+    SLICES,
+    BenchResult,
+    measure,
+    measure_interleaved,
+)
 
 
 class FakeClock:
@@ -51,6 +57,39 @@ class TestMeasure:
 
     def test_batch_cap(self):
         assert MAX_BATCH == 1 << 20
+
+    def test_batches_stop_growing_at_a_slice_of_the_floor(self):
+        # Every batch takes 1/SLICES of the floor (binary fractions,
+        # so the fake clock is exact): batches never grow, and the
+        # sample is SLICES single-call slices.
+        result = measure("t", lambda: None, min_seconds=SLICES / 64,
+                         clock=FakeClock(step=1 / 64))
+        assert result.ops == SLICES
+
+
+class TestMeasureInterleaved:
+    def test_alternates_equal_batches(self):
+        order = []
+        results = measure_interleaved(
+            [("a", lambda: order.append("a")),
+             ("b", lambda: order.append("b"))],
+            min_seconds=0.01, clock=FakeClock(step=0.001),
+        )
+        assert [r.name for r in results] == ["a", "b"]
+        assert results[0].ops == results[1].ops
+        # Warm-ups, then batches of 1, 2, 4, ... alternating a, b.
+        assert order[:8] == ["a", "b", "a", "b", "a", "a", "b", "b"]
+
+    def test_runs_until_every_bench_reaches_the_floor(self):
+        results = measure_interleaved(
+            [("a", lambda: None), ("b", lambda: None)],
+            min_seconds=0.05, clock=FakeClock(step=0.01),
+        )
+        assert all(r.seconds >= 0.05 for r in results)
+
+    def test_rejects_nonpositive_floor(self):
+        with pytest.raises(ValueError):
+            measure_interleaved([("t", lambda: None)], min_seconds=0.0)
 
 
 class TestBenchResult:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.gift.bitsliced import numpy_available
 from repro.perf.suite import (
+    MAX_DEFENDER_TAP_OVERHEAD,
     MIN_BATCH_OVER_UNTRACED,
     MIN_UNTRACED_OVER_TRACED,
     PerfReport,
@@ -49,6 +50,16 @@ class TestCheckGates:
             {"gift64_batch_over_untraced": MIN_BATCH_OVER_UNTRACED}
         ) == []
 
+    def test_tap_overhead_is_a_ceiling(self):
+        # 1.2x would fail any floor gate; as an overhead it passes.
+        assert check_gates({"defender_tap_overhead": 1.2}) == []
+        assert check_gates(
+            {"defender_tap_overhead": MAX_DEFENDER_TAP_OVERHEAD}
+        ) == []
+        failures = check_gates({"defender_tap_overhead": 6.0})
+        assert len(failures) == 1
+        assert "above" in failures[0]
+
 
 class TestPerfReport:
     def test_result_lookup(self):
@@ -62,8 +73,16 @@ class TestPerfReport:
     def test_ratios_skip_missing_pairs(self):
         report = PerfReport(quick=True, seed=0, results=[
             BenchResult("gift64_encrypt_untraced", ops=10, seconds=1.0),
+            BenchResult("transport_plain_ops", ops=10, seconds=1.0),
         ])
         assert report.ratios == {}
+
+    def test_tap_overhead_is_plain_over_watched(self):
+        report = PerfReport(quick=True, seed=0, results=[
+            BenchResult("transport_plain_ops", ops=30, seconds=1.0),
+            BenchResult("transport_watched_ops", ops=20, seconds=1.0),
+        ])
+        assert report.ratios == {"defender_tap_overhead": 1.5}
 
 
 class TestRunSuite:
@@ -84,6 +103,8 @@ class TestRunSuite:
             "observer_fast_observations",
             "voting_updates",
             "engine_first_round_trial",
+            "transport_plain_ops",
+            "transport_watched_ops",
         ]
         assert names == expected
         assert all(result.ops >= 1 for result in report.results)
