@@ -26,10 +26,34 @@ only needs to enumerate the candidates of the four source segments.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..targets.registry import get_target
 from .target_bits import TargetSpec
+
+#: Per segment, in ascending order: the nibble's shift and the
+#: valid-input list it draws from (``None``: a uniform random nibble).
+DrawPlan = Tuple[Tuple[int, Optional[Tuple[int, ...]]], ...]
+
+
+def draw_plan(spec: TargetSpec) -> DrawPlan:
+    """The per-segment draws of :func:`build_target_round_input`."""
+    return tuple(
+        (4 * segment, spec.valid_inputs.get(segment))
+        for segment in range(spec.width // 4)
+    )
+
+
+def draw_from_plan(plan: DrawPlan, rng: random.Random) -> int:
+    """One constrained state drawn along ``plan``: ``rng.choice`` for a
+    pinned segment, ``rng.randrange(16)`` for a free one, in segment
+    order."""
+    state = 0
+    for shift, choices in plan:
+        if choices is None:
+            state |= rng.randrange(16) << shift
+        else:
+            state |= rng.choice(choices) << shift
+    return state
 
 
 def build_target_round_input(spec: TargetSpec, rng: random.Random) -> int:
@@ -39,29 +63,7 @@ def build_target_round_input(spec: TargetSpec, rng: random.Random) -> int:
     valid-input list; the remaining segments take uniform random
     nibbles (Algorithm 2 lines 3-10).
     """
-    segments = spec.width // 4
-    state = 0
-    for segment in range(segments):
-        if segment in spec.valid_inputs:
-            nibble = rng.choice(spec.valid_inputs[segment])
-        else:
-            nibble = rng.randrange(16)
-        state |= nibble << (4 * segment)
-    return state
-
-
-def invert_rounds(state: int, round_keys: Sequence[Tuple[int, int]],
-                  width: int) -> int:
-    """Invert GIFT rounds ``len(round_keys) .. 1`` on a round-input state.
-
-    ``round_keys[r - 1]`` is the ``(U, V)`` key of round ``r``.  Given the
-    input of round ``len(round_keys) + 1``, returns the plaintext (the
-    input of round 1) that produces it under those keys.
-
-    Kept as the module-level GIFT entry point; the generic path is
-    :meth:`repro.targets.CipherTarget.invert_rounds`.
-    """
-    return get_target(f"gift{width}").invert_rounds(state, round_keys)
+    return draw_from_plan(draw_plan(spec), rng)
 
 
 class PlaintextCrafter:
@@ -74,7 +76,7 @@ class PlaintextCrafter:
     prior_round_keys:
         Keys of rounds ``1 .. t-1`` as known/hypothesised by the
         attacker (empty for a round-1 target), in the target's native
-        round-key representation.
+        round-key representation; held as a tuple.
     rng:
         Attacker randomness for segment choices.
     """
@@ -89,18 +91,15 @@ class PlaintextCrafter:
                 f"got {len(prior_round_keys)}"
             )
         self.spec = spec
-        self.prior_round_keys = list(prior_round_keys)
+        self.prior_round_keys = tuple(prior_round_keys)
         self._rng = rng
+        self._plan = draw_plan(spec)
+        self._invert = spec._target().invert_rounds
 
     def craft(self) -> int:
         """Return one crafted plaintext."""
-        target_input = build_target_round_input(self.spec, self._rng)
-        if self.spec.target is not None:
-            return self.spec.target.invert_rounds(
-                target_input, self.prior_round_keys
-            )
-        return invert_rounds(target_input, self.prior_round_keys,
-                             self.spec.width)
+        return self._invert(draw_from_plan(self._plan, self._rng),
+                            self.prior_round_keys)
 
     def craft_many(self, count: int) -> List[int]:
         """Return ``count`` crafted plaintexts."""

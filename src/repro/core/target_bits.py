@@ -27,7 +27,9 @@ plaintext nibble *is* the constrained value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..targets.protocol import CipherTarget
 from ..targets.registry import get_target
@@ -72,7 +74,9 @@ class TargetSpec:
     that force its constrained output bit(s) — the paper's
     ``List_A``/``List_B``, extended to all four sources.  (For a
     ``first_round_direct`` round-1 target it maps the target segment
-    itself to the single fully pinned plaintext nibble.)
+    itself to the single fully pinned plaintext nibble.)  It is a
+    read-only mapping: :func:`set_target_bits` memoises its specs, so
+    every caller shares one instance.
     ``free_bit_predictions`` gives, per key-free index bit offset, the
     value the attacker *predicts* for the monitored access (forced value
     XORed with the key-independent round constant).
@@ -82,7 +86,7 @@ class TargetSpec:
     segment: int
     width: int
     sources: Tuple[SourceBit, ...]
-    valid_inputs: Dict[int, Tuple[int, ...]]
+    valid_inputs: Mapping[int, Tuple[int, ...]]
     key_offsets: Tuple[int, ...]
     free_bit_predictions: Tuple[Tuple[int, int], ...]
     key_bit_positions: Tuple[int, ...]
@@ -125,6 +129,7 @@ class TargetSpec:
         return get_target(f"gift{self.width}")
 
 
+@lru_cache(maxsize=1024)
 def set_target_bits(round_index: int, segment: int, width: int = 64,
                     forced_high_bits: Optional[Tuple[int, ...]] = None,
                     target: Optional[CipherTarget] = None) -> TargetSpec:
@@ -150,6 +155,10 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
     target:
         The cipher target to trace against; defaults to the registered
         GIFT target of ``width``.
+
+    The result depends only on the arguments and public cipher
+    constants, so it is memoised (bounded): an attack asks for the
+    same few dozen specs once per segment attempt.
     """
     if target is None:
         if width not in (64, 128):
@@ -204,7 +213,7 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
             segment=segment,
             width=width,
             sources=(),
-            valid_inputs={segment: (pinned,)},
+            valid_inputs=MappingProxyType({segment: (pinned,)}),
             key_offsets=target.key_offsets,
             free_bit_predictions=free_bit_predictions,
             key_bit_positions=key_positions,
@@ -259,7 +268,7 @@ def set_target_bits(round_index: int, segment: int, width: int = 64,
         segment=segment,
         width=width,
         sources=tuple(sources),
-        valid_inputs=valid_inputs,
+        valid_inputs=MappingProxyType(valid_inputs),
         key_offsets=target.key_offsets,
         free_bit_predictions=free_bit_predictions,
         key_bit_positions=key_positions,

@@ -18,6 +18,8 @@ concern, exercised by the ablation benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import getitem
 from typing import List, Optional, Tuple
 
 from .cipher import round_key_mask
@@ -124,6 +126,29 @@ _FUSED_SBOX_SCATTER = {64: _fuse_sbox_into_scatter(64),
                        128: _fuse_sbox_into_scatter(128)}
 
 
+@lru_cache(maxsize=None)
+def _fused_byte_scatter(width: int) -> Tuple[Tuple[int, ...], ...]:
+    """The fused scatter table re-indexed by state byte:
+    ``table[b][x]`` is the contribution of byte value ``x`` at byte
+    ``b``, i.e. of its low nibble at segment ``2b`` and its high
+    nibble at segment ``2b + 1``.  Contributions of distinct bytes are
+    disjoint, so one round is the sum of one load per byte.  Built on
+    the first victim of each width."""
+    fused = _FUSED_SBOX_SCATTER[width]
+    return tuple(
+        tuple(fused[2 * byte][x & 0xF] | fused[2 * byte + 1][x >> 4]
+              for x in range(256))
+        for byte in range(width // 8)
+    )
+
+
+#: ``_NIBBLE_PAIRS[x]`` is byte ``x`` split into ``(low, high)`` nibbles,
+#: i.e. the S-box indices of the two segments the byte holds.
+_NIBBLE_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
+    (x & 0xF, x >> 4) for x in range(256)
+)
+
+
 @secret_params("state")
 def _sub_cells_inverse(state: int, width: int) -> int:
     result = 0
@@ -156,6 +181,7 @@ class TracedGiftCipher:
         self._segments = width // 4
         self._scatter = _SCATTER_TABLES[width]
         self._fused_sbox_scatter = _FUSED_SBOX_SCATTER[width]
+        self._fused_byte_scatter = _fused_byte_scatter(width)
         # Hoisted once per instance: the inverse permutation (decrypt
         # used to rebuild it per call) and the per-(index, segment)
         # load-address tables the traced path re-derived per access.
@@ -265,25 +291,27 @@ class TracedGiftCipher:
         attack's fast observation path, where the million-encryption
         sweeps of Table I cannot afford building
         :class:`~repro.gift.trace.MemoryAccess` records.
+
+        Each round splits the state into bytes once: a nibble-pair
+        table yields the two indices per byte, and the byte-fused
+        scatter table advances the state with one load per byte.
         """
         if not 0 <= plaintext < (1 << self.width):
             raise ValueError(f"block must be a {self.width}-bit integer")
         if not 1 <= max_rounds <= self.rounds:
             raise ValueError(f"max_rounds must be in [1, {self.rounds}]")
+        pairs = _NIBBLE_PAIRS
+        scatter = self._fused_byte_scatter
+        size = self.width // 8
         indices_by_round: List[List[int]] = []
         state = plaintext
-        fused = self._fused_sbox_scatter
-        inject = self._inject_masks
-        for round_index in range(1, max_rounds + 1):
-            indices = [
-                (state >> (4 * segment)) & 0xF
-                for segment in range(self._segments)
-            ]
+        for mask in self._inject_masks[:max_rounds]:
+            data = state.to_bytes(size, "little")
+            indices: List[int] = []
+            for byte in data:
+                indices += pairs[byte]
             indices_by_round.append(indices)
-            permuted = 0
-            for segment, index in enumerate(indices):
-                permuted |= fused[segment][index]
-            state = permuted ^ inject[round_index - 1]
+            state = sum(map(getitem, scatter, data)) ^ mask
         return indices_by_round
 
     @secret_params("state")

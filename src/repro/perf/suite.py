@@ -10,6 +10,9 @@ each benchmarked here:
   :data:`_BATCH_BLOCKS` blocks through ``encrypt_batch``);
 * the **observer fast path** — crafted-encryption line observations
   (``observer_fast_observations``);
+* **crafting** — Algorithm 2's draws plus the Step-5 inversion through
+  two known rounds, one crafted plaintext per op
+  (``crafting_round3_plaintexts``);
 * the **voting decision core** — per-window count updates
   (``voting_updates``);
 * the **engine trial body** — one complete first-round attack, the
@@ -46,8 +49,10 @@ from ..channel.observer import ObservationChannel
 from ..channel.transport import CacheTransport, SingleLevelTransport
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
+from ..core.crafting import PlaintextCrafter
+from ..core.target_bits import set_target_bits
 from ..core.voting import VotingEliminator, VotingPolicy
-from ..targets.gift import TracedGift64, TracedGift128
+from ..targets.gift import TracedGift64, TracedGift128, round_keys
 from ..seeding import derive_key, derive_rng
 from .bench import BenchResult, measure, measure_interleaved
 
@@ -255,6 +260,16 @@ def _observer_bench(seed: int) -> Dict[str, object]:
     }
 
 
+def _crafting_bench(seed: int) -> Dict[str, object]:
+    # A round-3 GIFT-64 target: every craft draws the constrained
+    # state and inverts it through the two known earlier rounds.
+    key = derive_key(128, "perf-crafting", seed)
+    crafter = PlaintextCrafter(set_target_bits(3, 5),
+                               round_keys(key, 2, 64),
+                               derive_rng("perf-crafting-draws", seed))
+    return {"name": "crafting_round3_plaintexts", "fn": crafter.craft}
+
+
 def _voting_bench(seed: int) -> Dict[str, object]:
     # A 16-line universe (the paper's 1-byte-entry S-box under 1-word
     # lines) fed synthetic lossy windows: the target present at 80%,
@@ -328,6 +343,7 @@ def run_suite(*, quick: bool = False, seed: int = 0,
         min_seconds = 0.05 if quick else 0.4
     benches = _cipher_benches(seed, quick)
     benches.append(_observer_bench(seed))
+    benches.append(_crafting_bench(seed))
     benches.append(_voting_bench(seed))
     benches.append(_engine_trial_bench(seed))
     results = [

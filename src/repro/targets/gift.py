@@ -15,6 +15,8 @@ because the target layer may not import ``repro.core``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import getitem
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..gift.bitsliced import (  # noqa: F401  (re-exported)
@@ -28,7 +30,6 @@ from ..gift.cipher import (  # noqa: F401  (re-exported)
     Gift128,
     GiftCipher,
     round_key_mask,
-    sub_cells,
 )
 from ..gift.constants import constant_mask
 from ..gift.keyschedule import round_keys  # noqa: F401  (re-exported)
@@ -37,11 +38,84 @@ from ..gift.lut import (  # noqa: F401  (re-exported)
     TracedGift128,
     TracedGiftCipher,
 )
-from ..gift.permutation import inverse_permutation_for_width, permute
+from ..gift.permutation import inverse_permutation_for_width
 from ..gift.sbox import GIFT_SBOX, GIFT_SBOX_INV  # noqa: F401  (re-exported)
 from .layout import TableLayout
 from .protocol import CipherTarget, TracedVictim
 from .registry import register_target
+
+
+# ----------------------------------------------------------------------
+# Attacker-side inversion tables (public cipher constants only)
+# ----------------------------------------------------------------------
+#
+# Step 5 inverts rounds as ``S⁻¹(P⁻¹(y XOR m_r))``.  P⁻¹ is linear, so
+# that equals ``S⁻¹(P⁻¹(y) XOR P⁻¹(m_r))``: the state moves through
+# byte-indexed tables (P⁻¹, then P⁻¹∘S⁻¹ for every further round, then
+# a byte-wise S⁻¹) and each round XORs one precomputed mask.  The
+# reference ``permute``/``sub_cells`` stay bit loops: they take a
+# ``@secret_params`` state, so tables there would be new secret-indexed
+# sites for the leakage budget (docs/performance.md §6).  Everything
+# here is attacker-side and public.
+
+#: S⁻¹ applied to both nibbles of a byte, as a ``bytes.translate`` table.
+_SBOX_INV_BYTES: bytes = bytes(
+    GIFT_SBOX_INV[x & 0xF] | GIFT_SBOX_INV[x >> 4] << 4 for x in range(256)
+)
+
+
+def _permutation_byte_tables(table: Tuple[int, ...]
+                             ) -> Tuple[Tuple[int, ...], ...]:
+    """``rows[b][x]``: the image under the bit permutation ``table`` of
+    byte value ``x`` at byte ``b``; the images of a state's bytes are
+    disjoint, so summing them permutes the whole state."""
+    rows = []
+    for byte in range(len(table) // 8):
+        bit_images = [1 << table[8 * byte + bit] for bit in range(8)]
+        row = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            row[value] = row[value ^ low] | bit_images[low.bit_length() - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _inversion_tables(width: int) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                           Tuple[Tuple[int, ...], ...]]:
+    """Byte tables of P⁻¹ and of P⁻¹∘S⁻¹ for one width, built on first
+    use (a GIFT-64 run never pays for the GIFT-128 tables)."""
+    perm_inv = _permutation_byte_tables(inverse_permutation_for_width(width))
+    perm_inv_sbox_inv = tuple(
+        tuple(row[_SBOX_INV_BYTES[value]] for value in range(256))
+        for row in perm_inv
+    )
+    return perm_inv, perm_inv_sbox_inv
+
+
+def _permute_bytes(state: int, rows: Tuple[Tuple[int, ...], ...]) -> int:
+    return sum(map(getitem, rows, state.to_bytes(len(rows), "little")))
+
+
+@lru_cache(maxsize=64)
+def _inverse_round_masks(width: int,
+                         prior_round_keys: Tuple[Tuple[int, int], ...]
+                         ) -> Tuple[int, ...]:
+    """``P⁻¹(RK_r XOR C_r)`` for rounds ``len(prior_round_keys) .. 1``.
+
+    Memoised per key tuple: one crafter inverts hundreds of states
+    under the same prior keys.  Bounded; entries are a few small ints.
+    """
+    rows = _inversion_tables(width)[0]
+    return tuple(
+        _permute_bytes(
+            round_key_mask(u, v, width) ^ constant_mask(round_index, width),
+            rows,
+        )
+        for round_index, (u, v) in reversed(
+            list(enumerate(prior_round_keys, start=1))
+        )
+    )
 
 
 def _rotate_right_16(word: int, amount: int) -> int:
@@ -228,15 +302,25 @@ class GiftTarget(CipherTarget):
                       prior_round_keys: Sequence[Tuple[int, int]]) -> int:
         """Step 5's inversion: ``input_r = S⁻¹(P⁻¹(input_{r+1} XOR RK_r
         XOR C_r))`` from the constrained round-``t`` input down to the
-        plaintext."""
-        width = self.width
-        for round_index in range(len(prior_round_keys), 0, -1):
-            u, v = prior_round_keys[round_index - 1]
-            state ^= round_key_mask(u, v, width)
-            state ^= constant_mask(round_index, width)
-            state = permute(state, self._inverse_perm)
-            state = sub_cells(state, width, inverse=True)
-        return state
+        plaintext.
+
+        Runs on the byte tables above as ``S⁻¹(P⁻¹(y) XOR P⁻¹(m_r))``
+        with the masks ``P⁻¹(m_r)`` memoised per key tuple.
+        """
+        if not prior_round_keys:
+            return state
+        perm_inv, perm_inv_sbox_inv = _inversion_tables(self.width)
+        masks = iter(_inverse_round_masks(self.width,
+                                          tuple(prior_round_keys)))
+        state = _permute_bytes(state, perm_inv) ^ next(masks)
+        for mask in masks:
+            state = _permute_bytes(state, perm_inv_sbox_inv) ^ mask
+        return int.from_bytes(
+            state.to_bytes(self.width // 8, "little").translate(
+                _SBOX_INV_BYTES
+            ),
+            "little",
+        )
 
     # -- key-relation algebra -----------------------------------------
 

@@ -155,3 +155,29 @@ class TestValidation:
     def test_rejects_bad_forced_bits(self):
         with pytest.raises(ValueError):
             set_target_bits(1, 0, forced_high_bits=(2, 0))
+
+
+class TestSharedSpecs:
+    """``set_target_bits`` is memoised, so its specs are shared."""
+
+    def test_repeated_calls_return_the_same_spec(self):
+        assert set_target_bits(3, 7) is set_target_bits(3, 7)
+        assert (set_target_bits(1, 2, width=128, forced_high_bits=(0, 1))
+                is set_target_bits(1, 2, width=128,
+                                   forced_high_bits=(0, 1)))
+
+    def test_valid_inputs_cannot_be_mutated(self):
+        spec = set_target_bits(2, 4)
+        source = spec.source_segments[0]
+        with pytest.raises(TypeError):
+            spec.valid_inputs[source] = (0,)  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del spec.valid_inputs[source]  # type: ignore[attr-defined]
+        assert set_target_bits(2, 4).valid_inputs[source] != (0,)
+
+    def test_direct_round_one_spec_is_read_only_too(self):
+        from repro.targets import get_target
+
+        spec = set_target_bits(1, 0, target=get_target("present80"))
+        with pytest.raises(TypeError):
+            spec.valid_inputs[0] = (0,)  # type: ignore[index]

@@ -101,6 +101,7 @@ class TestRunSuite:
             expected.append("gift64_encrypt_batch")
         expected += [
             "observer_fast_observations",
+            "crafting_round3_plaintexts",
             "voting_updates",
             "engine_first_round_trial",
             "transport_plain_ops",
