@@ -51,10 +51,7 @@ from .degradation import (
 from .monitor import SboxMonitor
 from .observer import (
     ObservationChannel,
-    WindowBatch,
     WindowObservation,
-    encryption_latency,
-    hit_miss_trace,
     observe_window,
 )
 from .primitive import (
@@ -91,10 +88,7 @@ __all__ = [
     "jitter_from_platform",
     "SboxMonitor",
     "ObservationChannel",
-    "WindowBatch",
     "WindowObservation",
-    "encryption_latency",
-    "hit_miss_trace",
     "observe_window",
     "PRIMITIVE_NAMES",
     "FlushFlush",

@@ -7,29 +7,39 @@ engine consume.  It composes
 * a :class:`~repro.channel.primitive.ProbePrimitive` (L1 — how to read
   residency),
 * a :class:`~repro.channel.transport.CacheTransport` (L2 — which
-  substrate the probe and victim meet on),
+  substrate the probe and victim meet on; a
+  :class:`~repro.channel.transport.SharedL2Transport` makes it the
+  cross-core channel),
 * a tuple of degradations (L3 — loss/jitter decorators), and
 * the victim + crafting-independent RNG streams,
 
 and answers the access-driven question *which monitored lines did this
-encryption (appear to) touch?* via :meth:`observe`, plus the
-trace-/time-driven signals via :meth:`window`, :meth:`hit_miss` and
-:meth:`timing`.
+encryption (appear to) touch?* via :meth:`observe` /
+:meth:`observe_batch`, plus the trace-/time-driven signals of one
+window via :meth:`window`.
 
-Two execution paths produce the access-driven answer:
+Three execution paths produce the access-driven answer, each selected
+from capabilities the channel can observe:
 
 * the **full path** replays the victim's complete address stream
   through the transport and runs the probe primitive on it — used for
-  Prime+Probe, cross-core transports, ablations, and as ground truth
-  in tests;
+  Prime+Probe, cross-core transports, defender-watched channels,
+  ablations, and as ground truth in tests;
 * the **fast path** computes the observation directly from the S-box
   accesses in the visible round window — exact for line-granular
-  flush-based primitives on a single-level transport under the default
-  layouts (monitored lines can never be evicted: the victim's visible
-  working set per cache set is far below the paper's 16 ways), and
-  ~40x faster, which the million-encryption sweeps of Table I need.
-  An equivalence test in the suite proves the two paths agree
-  observation-for-observation for every primitive.
+  flush-based primitives on a single-level LRU transport, and ~40x
+  faster, which the million-encryption sweeps of Table I need.  The
+  victim's own PermBits loads can evict a monitored line before the
+  probe when they crowd its cache set (GIFT-128 on 1-word lines, or
+  multi-round windows); :class:`~repro.channel.monitor.EvictionGuard`
+  finds the windows where that can happen and drops exactly the lines
+  the cache simulation would lose (one-round GIFT-64 windows on the
+  paper's geometries provably never need the check);
+* the **batch path** (:meth:`observe_batch` only) runs the fast path's
+  index-to-line mapping over a whole bitsliced batch at once.
+
+A differential test in the suite proves the paths agree
+observation-for-observation.
 
 RNG discipline: the noise stream (``"{scope}-noise"``), the loss
 stream (``"{scope}-loss"``) and the primitive's own signal stream
@@ -41,16 +51,15 @@ the pre-stack runner did (seed-0 full-key recovery still takes exactly
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cache.hierarchy import MemoryLatencies
 from ..targets.protocol import TracedVictim
 from ..seeding import derive_rng
-from ..staticcheck import secret_attributes
+from ..staticcheck import declassify, secret_attributes
 from .defender import DefenderObserver
-from .monitor import SboxMonitor
+from .monitor import EvictionGuard, SboxMonitor, shared_eviction_guard
 from .primitive import ProbePrimitive, make_primitive
 from .transport import CacheTransport, SingleLevelTransport
 
@@ -69,41 +78,31 @@ class WindowObservation:
         return sum(1 for hit in self.hit_miss if not hit)
 
 
-@dataclass(frozen=True)
-class WindowBatch:
-    """A whole batch's window signals as one 2-D hit/miss array.
+def _probe_window(victim: TracedVictim, config: Any,
+                  primitive: ProbePrimitive, attacked_round: int
+                  ) -> Tuple[int, int, bool, int]:
+    """The un-jittered probe window of an attack on ``attacked_round``.
 
-    ``hit_miss[n][k]`` is window ``n``'s ``k``-th monitored S-box load
-    (rounds ascending, segments ascending within a round — the scalar
-    trace order), ``True`` for a cache hit.  Rows are numpy arrays on
-    the vectorized path and plain tuples on the scalar fallback; both
-    index identically and :meth:`observation` converts either back to
-    the scalar :class:`WindowObservation`.
+    Returns ``(monitored_round, visible_through, flush_supported,
+    first_visible)``: the round whose S-box accesses carry the targeted
+    key bits, the last round completed when the probe lands, whether
+    the monitored lines are flushed right before the monitored round,
+    and the first round whose accesses remain visible.
+
+    It takes the victim as an argument, not ``self``, so the
+    intraprocedural leakage analyzer (``repro.staticcheck``) still sees
+    the window as victim-derived at both call sites.
     """
-
-    hit_miss: Any  # (count, accesses) bool rows
-    latency_cycles: Any  # (count,) ints
-    accesses: int
-    first_round: int
-    last_round: int
-
-    @property
-    def count(self) -> int:
-        """Number of windows in the batch."""
-        return len(self.hit_miss)
-
-    @property
-    def misses(self) -> List[int]:
-        """Per-window miss counts."""
-        return [sum(1 for hit in row if not hit) for row in self.hit_miss]
-
-    def observation(self, index: int) -> WindowObservation:
-        """Window ``index`` as a scalar :class:`WindowObservation`."""
-        return WindowObservation(
-            hit_miss=tuple(bool(hit) for hit in self.hit_miss[index]),
-            latency_cycles=int(self.latency_cycles[index]),
-            accesses=self.accesses,
+    if attacked_round < 1:
+        raise ValueError(
+            f"attacked_round must be >= 1, got {attacked_round}"
         )
+    offset = getattr(victim, "probe_round_offset", 1)
+    monitored_round = attacked_round + offset
+    visible_through = monitored_round - 1 + config.probing_round
+    flush_supported = config.use_flush and primitive.supports_mid_flush
+    first_visible = monitored_round if flush_supported else 1
+    return monitored_round, visible_through, flush_supported, first_visible
 
 
 @secret_attributes("victim")
@@ -113,8 +112,8 @@ class ObservationChannel:
     The channel holds the victim instance (and therefore the secret
     key), but exposes only the side-channel signals: callers submit a
     plaintext and receive the set of monitored lines the probe reports
-    (:meth:`observe`), the window's hit/miss sequence
-    (:meth:`hit_miss`), or its latency (:meth:`timing`).
+    (:meth:`observe`), or the window's hit/miss sequence and latency
+    (:meth:`window`).
 
     Parameters
     ----------
@@ -123,8 +122,6 @@ class ObservationChannel:
     config:
         An :class:`~repro.core.config.AttackConfig` (duck-typed: any
         object with the same observation-relevant attributes works).
-    rng:
-        Optional override of the noise stream (legacy runner knob).
     transport:
         L2 override; defaults to a single shared cache of the config's
         geometry.
@@ -135,7 +132,8 @@ class ObservationChannel:
     rng_scope:
         Label prefix of the derived RNG streams.  The default keeps
         bit-identical streams with the historic single-core runner;
-        the cross-core subclass uses ``"crosscore"``.
+        :func:`~repro.core.crosscore.make_cross_core_runner` uses
+        ``"crosscore"``.
     defender:
         Optional :class:`~repro.channel.defender.DefenderObserver`.
         When given, the transport is wrapped in a counter tap and a
@@ -145,8 +143,7 @@ class ObservationChannel:
         never changes what the attacker sees or spends.
     """
 
-    def __init__(self, victim: TracedVictim, config: Any,
-                 rng: Optional[random.Random] = None, *,
+    def __init__(self, victim: TracedVictim, config: Any, *,
                  transport: Optional[CacheTransport] = None,
                  primitive: Optional[ProbePrimitive] = None,
                  degradations: Optional[Sequence[Any]] = None,
@@ -183,9 +180,7 @@ class ObservationChannel:
         # Scope-derived so the noise stream is independent of the
         # attacker's crafting stream, and deterministic even when no
         # seed was configured (seed=None is a valid, reproducible seed).
-        self._noise_rng = (rng if rng is not None
-                           else derive_rng(f"{rng_scope}-noise",
-                                           config.seed))
+        self._noise_rng = derive_rng(f"{rng_scope}-noise", config.seed)
         # The loss stream is separate again so a lossless run consumes
         # exactly the randomness it did before the channel existed.
         self._loss_rng = derive_rng(f"{rng_scope}-loss", config.seed)
@@ -201,6 +196,7 @@ class ObservationChannel:
         self._batch_view: Optional[Any] = None
         self._loss_batch_gen: Optional[Any] = None
         self._lines_by_index: Optional[Any] = None
+        self._guard: Optional[EvictionGuard] = None
 
     # ------------------------------------------------------------------
     # Capabilities
@@ -274,6 +270,26 @@ class ObservationChannel:
             )
         return self._loss_batch_gen
 
+    def _eviction_guard(self) -> EvictionGuard:
+        """The fast path's self-eviction bookkeeping (built lazily).
+
+        The victim's S-box comes from its registered target; a victim
+        no target claims keeps a coupling-free bound, which sends the
+        windows it cannot clear to the full path.
+        """
+        if self._guard is None:
+            try:
+                from ..targets import resolve_target_for
+
+                sbox = tuple(resolve_target_for(self.victim).sbox)
+            except (TypeError, KeyError, AttributeError):
+                sbox = None
+            self._guard = shared_eviction_guard(
+                self.victim.layout, self.config.geometry,
+                self.victim.width // 4, sbox,
+            )
+        return self._guard
+
     def _lines_by_index_array(self) -> Any:
         if self._lines_by_index is None:
             import numpy
@@ -318,16 +334,12 @@ class ObservationChannel:
         primitive supports it — the monitored lines are flushed right
         before the monitored round so earlier rounds leave no residue.
         """
-        if attacked_round < 1:
-            raise ValueError(
-                f"attacked_round must be >= 1, got {attacked_round}"
-            )
+        (monitored_round, visible_through, flush_supported,
+         first_visible) = _probe_window(self.victim, self.config,
+                                        self.primitive, attacked_round)
         self.encryptions_run += 1
         if self.defender is not None:
             self.defender.begin_window(self.primitive.name)
-        offset = getattr(self.victim, "probe_round_offset", 1)
-        monitored_round = attacked_round + offset
-        visible_through = monitored_round - 1 + self.config.probing_round
         for degradation in self.degradations:
             if degradation.shifts_window:
                 # A jittered probe lands early or late: late draws add
@@ -335,18 +347,20 @@ class ObservationChannel:
                 # target round — or the whole window — outright.
                 visible_through += degradation.sample_jitter(self._loss_rng)
                 visible_through = min(visible_through, self.victim.rounds)
-        flush_supported = (self.config.use_flush
-                           and self.primitive.supports_mid_flush)
-        first_visible = monitored_round if flush_supported else 1
 
+        # The window's length is public — config, jitter draw and the
+        # cipher's round structure — so the fast path may plan on it.
+        rounds = declassify(visible_through - first_visible + 1)
+        at_risk = (self._eviction_guard().plan(rounds)
+                   if self.fast_path_active and rounds > 0 else None)
         if visible_through < first_visible:
             observed = self._empty_window_observation()
             if not self.transport.noise_via_victim:
                 observed |= self._noise_lines()
-        elif self.fast_path_active:
+        elif at_risk is not None:
             observed = self.primitive.filter_observation(
                 self._fast_observation(
-                    plaintext, first_visible, visible_through
+                    plaintext, first_visible, visible_through, at_risk
                 )
             )
             observed |= self._noise_lines()
@@ -368,12 +382,6 @@ class ObservationChannel:
             self.defender.end_window()
         return observed
 
-    #: Historic name of :meth:`observe` (the pre-stack runner API).
-    def observe_encryption(self, plaintext: int, attacked_round: int
-                           ) -> FrozenSet[int]:
-        """Alias of :meth:`observe` (the pre-stack runner's name)."""
-        return self.observe(plaintext, attacked_round)
-
     def observe_batch(self, plaintexts: Sequence[int],
                       attacked_round: int) -> List[FrozenSet[int]]:
         """One observation per plaintext, whole-batch at once.
@@ -388,14 +396,15 @@ class ObservationChannel:
         observation-for-observation identical (the noise stream is
         consumed per window in scalar order on both).
         """
-        if attacked_round < 1:
-            raise ValueError(
-                f"attacked_round must be >= 1, got {attacked_round}"
-            )
+        _, visible_through, _, first_visible = _probe_window(
+            self.victim, self.config, self.primitive, attacked_round
+        )
         plaintexts = list(plaintexts)
         if not plaintexts:
             return []
-        if not self.batch_path_active:
+        rounds = declassify(visible_through - first_visible + 1)
+        if (not self.batch_path_active
+                or self._eviction_guard().plan(rounds) != ()):
             return [self.observe(plaintext, attacked_round)
                     for plaintext in plaintexts]
         import numpy
@@ -403,12 +412,6 @@ class ObservationChannel:
         view = self._resolve_batch_view()
         count = len(plaintexts)
         self.encryptions_run += count
-        offset = getattr(self.victim, "probe_round_offset", 1)
-        monitored_round = attacked_round + offset
-        visible_through = monitored_round - 1 + self.config.probing_round
-        flush_supported = (self.config.use_flush
-                           and self.primitive.supports_mid_flush)
-        first_visible = monitored_round if flush_supported else 1
         indices = numpy.asarray(
             view.sbox_indices_batch(plaintexts, max_rounds=visible_through),
             dtype=numpy.uint8,
@@ -441,16 +444,23 @@ class ObservationChannel:
     # ------------------------------------------------------------------
 
     def _fast_observation(self, plaintext: int, first_visible: int,
-                          visible_through: int) -> FrozenSet[int]:
+                          visible_through: int, at_risk: Tuple[int, ...]
+                          ) -> FrozenSet[int]:
         indices_by_round = self.victim.sbox_indices_by_round(
             plaintext, max_rounds=visible_through
         )
         line_by_index = self.monitor.line_by_index
-        return frozenset(
+        window = indices_by_round[first_visible - 1:]
+        observed = frozenset(
             line_by_index[index]
-            for round_indices in indices_by_round[first_visible - 1:]
+            for round_indices in window
             for index in round_indices
         )
+        if at_risk:
+            observed -= self._eviction_guard().evicted(
+                window, observed.intersection(at_risk)
+            )
+        return observed
 
     def _full_observation(self, plaintext: int, monitored_round: int,
                           visible_through: int,
@@ -523,81 +533,6 @@ class ObservationChannel:
             surface=self.transport.cold(),
         )
 
-    def window_batch(self, plaintexts: Sequence[int], first_round: int,
-                     last_round: int,
-                     latencies: Optional[MemoryLatencies] = None
-                     ) -> WindowBatch:
-        """Both weaker signals for a whole batch of encryptions.
-
-        Vectorized when the victim has a batch index source and the
-        transport supports the fast path (a cold single-level window
-        can never evict a monitored line, so a load hits exactly when
-        its line was touched earlier in the window); otherwise falls
-        back to looping :meth:`window`.  Both paths are asserted
-        equal window-for-window by the test suite.
-        """
-        if first_round > last_round:
-            raise ValueError(
-                f"empty round window [{first_round}, {last_round}]"
-            )
-        plaintexts = list(plaintexts)
-        cycle_costs = (latencies if latencies is not None
-                       else MemoryLatencies())
-        view = self._resolve_batch_view()
-        if view is None or not self.transport.supports_fast_path:
-            scalar = [
-                self.window(plaintext, first_round, last_round,
-                            latencies=cycle_costs)
-                for plaintext in plaintexts
-            ]
-            return WindowBatch(
-                hit_miss=tuple(obs.hit_miss for obs in scalar),
-                latency_cycles=tuple(obs.latency_cycles for obs in scalar),
-                accesses=scalar[0].accesses if scalar else 0,
-                first_round=first_round,
-                last_round=last_round,
-            )
-        import numpy
-
-        count = len(plaintexts)
-        self.encryptions_run += count
-        indices = numpy.asarray(
-            view.sbox_indices_batch(plaintexts, max_rounds=last_round),
-            dtype=numpy.uint8,
-        )
-        # Monitored loads in scalar trace order: rounds ascending,
-        # segments ascending within a round.
-        sequence = self._lines_by_index_array()[
-            indices[first_round - 1:last_round]
-        ].reshape(-1, max(count, 1))[:, :count]
-        misses = numpy.zeros(sequence.shape, dtype=bool)
-        for line in self.monitor.lines:
-            mask = sequence == line
-            misses |= mask & (numpy.cumsum(mask, axis=0) == 1)
-        hits = ~misses
-        return WindowBatch(
-            hit_miss=hits.T.copy(),
-            latency_cycles=(
-                hits.sum(axis=0) * cycle_costs.l1_hit_cycles
-                + misses.sum(axis=0) * cycle_costs.l1_miss_cycles
-            ),
-            accesses=int(sequence.shape[0]),
-            first_round=first_round,
-            last_round=last_round,
-        )
-
-    def hit_miss(self, plaintext: int, first_round: int, last_round: int
-                 ) -> Tuple[bool, ...]:
-        """Trace-driven channel: the window's hit/miss sequence."""
-        return self.window(plaintext, first_round, last_round).hit_miss
-
-    def timing(self, plaintext: int, first_round: int, last_round: int,
-               latencies: Optional[MemoryLatencies] = None) -> int:
-        """Time-driven channel: the window's total access latency."""
-        return self.window(
-            plaintext, first_round, last_round, latencies
-        ).latency_cycles
-
     # ------------------------------------------------------------------
     # Verification channel
     # ------------------------------------------------------------------
@@ -648,23 +583,3 @@ def observe_window(victim: TracedVictim, plaintext: int,
         latency_cycles=latency,
         accesses=len(hit_miss),
     )
-
-
-def hit_miss_trace(victim: TracedVictim, plaintext: int,
-                   geometry: Any,
-                   first_round: int, last_round: int) -> Tuple[bool, ...]:
-    """Trace-driven channel: the window's hit/miss sequence."""
-    return observe_window(
-        victim, plaintext, geometry, first_round, last_round
-    ).hit_miss
-
-
-def encryption_latency(victim: TracedVictim, plaintext: int,
-                       geometry: Any,
-                       first_round: int, last_round: int,
-                       latencies: MemoryLatencies = MemoryLatencies()
-                       ) -> int:
-    """Time-driven channel: the window's total data-access latency."""
-    return observe_window(
-        victim, plaintext, geometry, first_round, last_round, latencies
-    ).latency_cycles

@@ -103,6 +103,9 @@ class SingleLevelTransport(CacheTransport):
         self.policy_name = policy
         self.rng = rng
         self.cache = SetAssociativeCache(geometry, policy=policy, rng=rng)
+        # The fast path's eviction bookkeeping assumes LRU: under FIFO
+        # or random replacement any miss in a full set can evict.
+        self.supports_fast_path = policy == "lru"
 
     def access(self, address: int) -> bool:
         return self.cache.access(address)

@@ -29,7 +29,7 @@ from ..channel import (
 from .attack import FULL_KEY_ROUNDS, GrinchAttack, recover_full_key
 from .config import PROBE_STRATEGIES, RECOVERY_MODES, AttackConfig
 from .crafting import PlaintextCrafter, build_target_round_input
-from .crosscore import CrossCoreRunner, make_cross_core_runner
+from .crosscore import make_cross_core_runner
 from .eliminate import CandidateEliminator
 from .errors import (
     AttackError,
@@ -64,7 +64,6 @@ __all__ = [
     "AttackConfig",
     "PlaintextCrafter",
     "build_target_round_input",
-    "CrossCoreRunner",
     "make_cross_core_runner",
     "CandidateEliminator",
     "VotingEliminator",

@@ -225,7 +225,8 @@ class AttackConfig:
 
         The fast path skips the LRU machinery; that is exact only for
         the line-granular flush-based primitives (Flush+Reload and
-        Flush+Flush: no set conflicts with other tables, and the
+        Flush+Flush: the channel's eviction guard accounts for the
+        victim's own PermBits loads crowding a monitored set, and the
         readout noise applies identically on both paths) —
         Prime+Probe observes at set granularity where the PermBits
         table interferes, so it must run on the full simulator.

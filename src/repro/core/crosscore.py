@@ -1,4 +1,4 @@
-"""Cross-core attack runner: GRINCH through a shared L2.
+"""Cross-core attack channel: GRINCH through a shared L2.
 
 Realises the paper's future-work question ("further explore the effect
 of the memory hierarchy on the effectiveness of the attack"): the
@@ -6,11 +6,14 @@ victim runs on core 0 behind a private L1, the attacker on core 1 can
 only sense the *shared L2* (its reloads hit there, never in the
 victim's L1) but wields a ``clflush`` that purges the whole hierarchy.
 
-Since the observation-channel refactor this is a thin specialisation
-of :class:`~repro.channel.ObservationChannel`: all the cross-core
-behaviour lives in :class:`~repro.channel.transport.SharedL2Transport`,
-and :class:`~repro.core.attack.GrinchAttack` runs unchanged on top —
-only the observability differs:
+:func:`make_cross_core_runner` returns a plain :class:`~repro.channel.ObservationChannel` over a
+:class:`~repro.channel.transport.SharedL2Transport`, which holds all
+the cross-core behaviour, and :class:`~repro.core.attack.GrinchAttack`
+runs unchanged on top.  The layers reject what cannot work: the
+channel refuses Prime+Probe on a transport without same-cache
+contention, the transport refuses a single-core hierarchy, and the
+geometry check refuses a line-size mismatch.  Only the observability
+differs:
 
 * **inclusive L2**: every victim miss fills L2 too, so after a flush
   the first touch of each line is visible — the attack goes through.
@@ -21,13 +24,10 @@ only the observability differs:
 
 from __future__ import annotations
 
-import random
 from typing import Any, Optional
 
-from ..cache.multilevel import (
-    InclusionPolicy,
-    TwoLevelHierarchy,
-)
+from ..cache.geometry import CacheGeometry
+from ..cache.multilevel import InclusionPolicy, TwoLevelHierarchy
 from ..channel.observer import ObservationChannel
 from ..channel.transport import ATTACKER_CORE, VICTIM_CORE, SharedL2Transport
 from ..targets.protocol import TracedVictim
@@ -36,54 +36,24 @@ from .config import AttackConfig
 __all__ = [
     "ATTACKER_CORE",
     "VICTIM_CORE",
-    "CrossCoreRunner",
     "make_cross_core_runner",
 ]
-
-
-class CrossCoreRunner(ObservationChannel):
-    """Drop-in observation channel whose probes go through a shared L2."""
-
-    def __init__(self, victim: TracedVictim, config: AttackConfig,
-                 hierarchy: Optional[TwoLevelHierarchy] = None,
-                 rng: Optional[random.Random] = None,
-                 defender: Optional[Any] = None) -> None:
-        if config.probe_strategy == "prime_probe":
-            raise ValueError(
-                "the cross-core runner models a clflush-based attacker"
-            )
-        if hierarchy is None:
-            hierarchy = TwoLevelHierarchy()
-        if hierarchy.cores < 2:
-            raise ValueError("cross-core attacks need at least two cores")
-        if hierarchy.line_bytes != config.geometry.line_bytes:
-            raise ValueError(
-                "hierarchy line size must match the attack geometry"
-            )
-        super().__init__(
-            victim, config, rng,
-            transport=SharedL2Transport(hierarchy),
-            rng_scope="crosscore",
-            defender=defender,
-        )
-        self.hierarchy = hierarchy
 
 
 def make_cross_core_runner(victim: TracedVictim, config: AttackConfig,
                            inclusion: InclusionPolicy,
                            policy: str = "lru",
                            defender: Optional[Any] = None
-                           ) -> CrossCoreRunner:
-    """Build a runner over a default two-core hierarchy.
+                           ) -> ObservationChannel:
+    """Build a cross-core channel over a default two-core hierarchy.
 
     The hierarchy's line size follows the attack geometry so Table-I
     style sweeps stay meaningful cross-core.  ``policy`` selects the
     replacement policy of both levels (``"random"`` gives the
     ARMageddon-style mobile-SoC substrate, with independently derived
-    per-set streams); ``defender`` optionally taps the transport.
+    per-set streams); ``defender`` optionally taps the transport.  The
+    channel draws from the ``"crosscore"`` RNG scope.
     """
-    from ..cache.geometry import CacheGeometry
-
     line_words = config.geometry.line_words
     hierarchy = TwoLevelHierarchy(
         cores=2,
@@ -94,4 +64,9 @@ def make_cross_core_runner(victim: TracedVictim, config: AttackConfig,
         inclusion=inclusion,
         policy=policy,
     )
-    return CrossCoreRunner(victim, config, hierarchy, defender=defender)
+    return ObservationChannel(
+        victim, config,
+        transport=SharedL2Transport(hierarchy),
+        rng_scope="crosscore",
+        defender=defender,
+    )

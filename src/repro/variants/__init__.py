@@ -1,12 +1,14 @@
 """Non-access-driven attack variants from the paper's taxonomy
-(Section I): trace-driven and time-driven realisations of GRINCH."""
+(Section I): trace-driven and time-driven realisations of GRINCH.
 
-from ..channel.observer import (
-    WindowObservation,
-    encryption_latency,
-    hit_miss_trace,
-    observe_window,
-)
+Both read one encryption's S-box window through
+:meth:`~repro.channel.ObservationChannel.window` — its hit/miss
+sequence (trace-driven) or total latency (time-driven) — which
+:func:`observe_window` computes; :class:`WindowObservation` carries
+both signals.
+"""
+
+from ..channel.observer import WindowObservation, observe_window
 from .time_driven import (
     CandidateScore,
     TimeDrivenAttack,
@@ -16,8 +18,6 @@ from .trace_driven import TraceDrivenAttack, TraceSegmentRecovery
 
 __all__ = [
     "WindowObservation",
-    "encryption_latency",
-    "hit_miss_trace",
     "observe_window",
     "CandidateScore",
     "TimeDrivenAttack",

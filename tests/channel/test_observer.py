@@ -20,8 +20,10 @@ from repro.channel import (
 )
 from repro.core.attack import GrinchAttack
 from repro.core.config import AttackConfig
-from repro.gift.lut import TracedGift64
-from repro.seeding import derive_key
+from repro.channel.monitor import EvictionGuard
+from repro.gift.lut import TracedGift64, TracedGift128
+from repro.seeding import derive_key, derive_rng
+from repro.targets.registry import get_target
 
 plaintexts = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -147,10 +149,73 @@ class TestComposition:
             light_total += len(light.observe(plaintext, 1))
         assert heavy_total < light_total
 
-    def test_observe_encryption_alias(self, victim):
-        a = ObservationChannel(victim, AttackConfig(seed=6))
-        b = ObservationChannel(victim, AttackConfig(seed=6))
-        assert a.observe(0x42, 1) == b.observe_encryption(0x42, 1)
+
+class TestSelfEviction:
+    """The victim's own PermBits loads can evict a watched S-box line;
+    the fast path must drop it exactly where the cache simulation does."""
+
+    def test_fast_path_drops_a_line_the_victim_evicted(self):
+        key = derive_key(128, 102)
+        victim = TracedGift128(key)
+        config = dict(use_flush=False, probing_round=2, seed=102)
+        fast = ObservationChannel(victim, AttackConfig(
+            use_fast_path=True, **config))
+        full = ObservationChannel(victim, AttackConfig(
+            use_fast_path=False, **config))
+        rng = derive_rng("fast-full-equivalence", 102)
+        plaintexts = [rng.getrandbits(128) for _ in range(4)]
+        plaintext = plaintexts[3]
+        # Attacked round 3 is monitored in round 4; probing round 2 and
+        # no flush make the window rounds 1-5.
+        touched = {fast.monitor.line_for_index(index)
+                   for row in victim.sbox_indices_by_round(plaintext, 5)
+                   for index in row}
+        observed = full.observe(plaintext, 3)
+        assert observed < touched
+        assert fast.observe(plaintext, 3) == observed
+
+    @pytest.mark.parametrize("seed, plaintext, later_lines, kept", [
+        (1, 0xE0C9697575CC3CD84A4407AE400E11B4, 16, False),
+        (13, 0xB72CAFAF62905E5DF8DF0043CA7C481A, 15, True),
+    ], ids=["sixteen-evict", "fifteen-keep"])
+    def test_exactly_ways_later_lines_evict(self, seed, plaintext,
+                                            later_lines, kept):
+        """LRU boundary: 16 distinct scatter lines after line 4096's
+        last access evict it from the 16-way set, 15 do not."""
+        victim = TracedGift128(derive_key(128, seed))
+        config = dict(use_flush=False, probing_round=2, seed=seed)
+        fast = ObservationChannel(victim, AttackConfig(
+            use_fast_path=True, **config))
+        full = ObservationChannel(victim, AttackConfig(
+            use_fast_path=False, **config))
+        window = victim.sbox_indices_by_round(plaintext, 5)
+        last = max(r for r, row in enumerate(window) if 0 in row)
+        set_zero = {
+            line for row in window[last:]
+            for segment, index in enumerate(row)
+            for line in [victim.layout.perm_address(
+                segment, get_target("gift128").sbox[index], 32)]
+            if line % 64 == 0
+        }
+        assert len(set_zero) == later_lines
+        observed = full.observe(plaintext, 3)
+        assert (4096 in observed) is kept
+        assert fast.observe(plaintext, 3) == observed
+
+    def test_one_round_gift64_windows_need_no_check(self):
+        monitor = SboxMonitor.build(TracedGift64(0).layout, CacheGeometry())
+        guard = EvictionGuard(monitor, 16, get_target("gift64").sbox)
+        assert guard.plan(1) == ()
+        assert guard.plan(2) == (4096, 4104)
+
+    def test_unknown_sbox_sends_risky_windows_to_full_path(self):
+        layout = TracedGift64(0).layout
+        paper = EvictionGuard(SboxMonitor.build(layout, CacheGeometry()),
+                              16, None)
+        assert paper.plan(1) is None
+        wide = EvictionGuard(
+            SboxMonitor.build(layout, CacheGeometry(line_words=4)), 16, None)
+        assert wide.plan(8) == ()
 
 
 class TestEffortInvariant:
