@@ -10,7 +10,10 @@ Lightweight Cipher"* (DATE 2021) as a pure-Python library:
 * :mod:`repro.core` — the GRINCH attack itself
 * :mod:`repro.countermeasures` — the paper's two protections
 * :mod:`repro.variants` — trace-/time-driven attack variants
-* :mod:`repro.analysis` — harnesses for Fig. 3, Table I, Table II
+* :mod:`repro.engine` — the experiment engine: ``run_experiment`` +
+  ``render_record`` regenerate Fig. 3, Table I, Table II and every
+  ablation (``python -m repro run`` from the shell)
+* :mod:`repro.analysis` — analytic effort model, statistics, renderers
 
 Quickstart::
 

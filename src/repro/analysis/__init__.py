@@ -1,24 +1,11 @@
-"""Experiment harnesses, analytic effort model, statistics and reporting."""
+"""Analytic effort model, statistics and ASCII reporting.
 
-from .experiments import (
-    DROPOUT_THRESHOLD,
-    Figure3Point,
-    Figure3Result,
-    FullKeyResultSummary,
-    NoiseSweepRow,
-    ProbeAblationRow,
-    Table1Cell,
-    Table1Result,
-    Table2Result,
-    TheoryValidationRow,
-    run_figure3,
-    run_full_key,
-    run_noise_sweep,
-    run_probe_strategy_ablation,
-    run_table1,
-    run_table2,
-    validate_theory,
-)
+The paper's experiments run through :mod:`repro.engine`
+(``run_experiment`` + ``render_record``); the renderers here format the
+engine's records.  This package sits below the engine and never
+imports it.
+"""
+
 from .reporting import (
     format_count,
     format_table,
@@ -48,23 +35,6 @@ from .theory import (
 )
 
 __all__ = [
-    "DROPOUT_THRESHOLD",
-    "Figure3Point",
-    "Figure3Result",
-    "FullKeyResultSummary",
-    "NoiseSweepRow",
-    "ProbeAblationRow",
-    "Table1Cell",
-    "Table1Result",
-    "Table2Result",
-    "TheoryValidationRow",
-    "run_figure3",
-    "run_full_key",
-    "run_noise_sweep",
-    "run_probe_strategy_ablation",
-    "run_table1",
-    "run_table2",
-    "validate_theory",
     "format_count",
     "format_table",
     "render_figure3",

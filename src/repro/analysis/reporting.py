@@ -2,19 +2,15 @@
 
 The harnesses print the same rows/series the paper reports; these
 helpers keep the formatting in one place so benchmarks, examples and
-EXPERIMENTS.md all show identical layouts.
+EXPERIMENTS.md all show identical layouts.  The paper renderers take
+an engine record (``repro.engine/result/v1``, a plain mapping) and read
+its ``cells`` directly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
-
-from .experiments import (
-    Figure3Result,
-    Table1Result,
-    Table2Result,
-)
+from typing import Any, List, Mapping, Sequence
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -49,54 +45,78 @@ def format_count(value: float) -> str:
     return f"{value:,.0f}"
 
 
-def render_figure3(result: Figure3Result) -> str:
+def render_figure3(record: Mapping[str, Any]) -> str:
     """Fig. 3 as a log-scale ASCII bar chart plus the raw series."""
-    rows = []
-    flush = {p.probing_round: p for p in result.series(True)}
-    no_flush = {p.probing_round: p for p in result.series(False)}
-    rounds = sorted(set(flush) | set(no_flush))
+    points = {
+        (c["cell"]["probing_round"], c["cell"]["use_flush"]): c
+        for c in record["cells"]
+    }
     max_log = max(
-        math.log10(max(p.encryptions, 1.0))
-        for p in result.points
+        math.log10(max(cell["encryptions"], 1.0)) for cell in points.values()
     )
     scale = 40 / max(max_log, 1.0)
-    for probing_round in rounds:
-        for label, series in (("flush", flush), ("no-flush", no_flush)):
-            point = series.get(probing_round)
-            if point is None:
+    rows = []
+    for probing_round in sorted({r for r, _ in points}):
+        for label, use_flush in (("flush", True), ("no-flush", False)):
+            cell = points.get((probing_round, use_flush))
+            if cell is None:
                 continue
+            encryptions = cell["encryptions"]
             bar = "#" * max(
-                1, int(math.log10(max(point.encryptions, 1.0)) * scale)
+                1, int(math.log10(max(encryptions, 1.0)) * scale)
             )
-            marker = "" if point.simulated else " (analytic)"
+            marker = "" if cell["simulated"] else " (analytic)"
             rows.append(
                 f"round {probing_round:>2} {label:>8} "
-                f"{format_count(point.encryptions):>10} |{bar}{marker}"
+                f"{format_count(encryptions):>10} |{bar}{marker}"
             )
     header = ("Fig. 3 — Required encryptions to break the 1st GIFT round\n"
               "(log-scale bars; 'analytic' = beyond the Monte-Carlo budget)")
     return header + "\n" + "\n".join(rows)
 
 
-def render_table1(result: Table1Result) -> str:
-    """Table I in the paper's layout."""
-    rounds = sorted({c.probing_round for c in result.cells})
-    headers = ["Cache Line Size"] + [str(r) for r in rounds]
+def _table1_cell_text(cell: Mapping[str, Any]) -> str:
+    """Paper-style Table I cell (``>1M`` for drop-outs, ``~`` when the
+    value comes from the analytic model)."""
+    if cell["dropped_out"]:
+        return ">1M"
+    value = f"{cell['encryptions']:,.0f}"
+    return value if cell["simulated"] else f"~{value}"
+
+
+def render_table1(record: Mapping[str, Any]) -> str:
+    """Table I in the paper's layout (line sizes x probing rounds)."""
+    cells = {
+        (c["cell"]["line_words"], c["cell"]["probing_round"]): c
+        for c in record["cells"]
+    }
+    line_sizes = sorted({lw for lw, _ in cells})
+    rounds = sorted({r for _, r in cells})
+    rows = [
+        [f"{line_words} Word" + ("s" if line_words > 1 else "")]
+        + [_table1_cell_text(cells[line_words, r]) for r in rounds]
+        for line_words in line_sizes
+    ]
     return format_table(
         "Table I — Required encryptions to attack the first round",
-        headers,
-        result.rows(),
+        ["Cache Line Size"] + [str(r) for r in rounds],
+        rows,
     )
 
 
-def render_table2(result: Table2Result) -> str:
-    """Table II in the paper's layout."""
-    frequencies = sorted({r.frequency_hz for r in result.reports})
-    headers = ["Platform"] + [f"{f / 1e6:g} MHz" for f in frequencies]
+def render_table2(record: Mapping[str, Any]) -> str:
+    """Table II in the paper's layout (platforms x clock frequencies)."""
+    probed = {
+        (c["cell"]["platform"], c["cell"]["frequency_mhz"]): c["probed_round"]
+        for c in record["cells"]
+    }
+    platforms = list(dict.fromkeys(platform for platform, _ in probed))
+    frequencies = sorted({mhz for _, mhz in probed})
     return format_table(
         "Table II — Attack efficiency (probed round) of performed attacks",
-        headers,
-        result.rows(),
+        ["Platform"] + [f"{mhz:g} MHz" for mhz in frequencies],
+        [[platform] + [str(probed[platform, mhz]) for mhz in frequencies]
+         for platform in platforms],
     )
 
 

@@ -9,25 +9,27 @@ Exposes the headline attack and the unified experiment engine:
    $ python -m repro run --list
    $ python -m repro run table1 --workers 4 --seed 7 --json
    $ python -m repro run E9 --set levels=0.0:0,0.5:2 --no-cache
-   $ python -m repro figure3            # legacy alias of `run figure3`
+   $ python -m repro run figure3 --set runs=1 --full
    $ python -m repro theory --line-words 4
    $ python -m repro perf --quick --json
    $ python -m repro staticcheck leakage --check-budget
    $ python -m repro trace record --target gift64 --out run.grtr
    $ python -m repro trace replay run.grtr --check
 
-``run`` executes any registered experiment (E1–E14) through
-:mod:`repro.engine`: Monte-Carlo trials fan out over ``--workers``
+``run`` is the one way to run an experiment (E1–E20) from the shell:
+it goes through :mod:`repro.engine` (``run_experiment`` +
+``render_record``).  Monte-Carlo trials fan out over ``--workers``
 processes (bit-identical results at any worker count), finished records
 are served from the content-addressed result cache, and ``--json``
-emits the schema-validated artifact record.  The historical
-``figure3``/``table1``/``table2``/``countermeasures`` subcommands
-delegate to the same registry.
+emits the schema-validated artifact record.  ``perf``, ``staticcheck``
+and ``trace`` hand everything after their name to their own front-end
+(see :data:`_DELEGATES`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Any, Dict, List, Optional
@@ -51,6 +53,25 @@ from .engine import (
     run_experiment,
 )
 from .targets.gift import TracedGift64, TracedGift128
+
+
+#: Sub-commands with their own front-end: ``python -m repro NAME ARGS``
+#: calls ``main(ARGS)`` of the named module.  They are dispatched before
+#: argparse runs, so every flag reaches the front-end untouched.
+_DELEGATES = {
+    "staticcheck": (
+        "repro.staticcheck.cli",
+        "static leakage analysis (secret-dependent lookups/branches)",
+    ),
+    "perf": (
+        "repro.perf.cli",
+        "microbenchmark the hot paths and gate on perf ratios",
+    ),
+    "trace": (
+        "repro.tracecli",
+        "record, replay, convert and inspect attack traces (L0)",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run",
-        help="run a registered experiment through the engine (E1-E14)",
+        help="run a registered experiment through the engine (E1-E20)",
     )
     run.add_argument("experiment", nargs="?", default=None,
                      help="experiment name or DESIGN.md ID (see --list)")
@@ -104,24 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override an experiment parameter "
                           "(repeatable; see --list for the specs)")
 
-    for name, help_text in (
-        ("figure3", "regenerate Fig. 3 (effort vs. probing round)"),
-        ("table1", "regenerate Table I (effort vs. cache line size)"),
-    ):
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--full", action="store_true",
-                         help="simulate every cell (slow)")
-        sub.add_argument("--runs", type=int, default=2,
-                         help="Monte-Carlo repetitions per cell")
-
-    commands.add_parser(
-        "table2", help="regenerate Table II (platform probing rounds)"
-    )
-    cm = commands.add_parser(
-        "countermeasures", help="evaluate the Section IV-C protections"
-    )
-    cm.add_argument("--seed", type=int, default=0)
-
     theory = commands.add_parser(
         "theory", help="analytic effort model for one configuration"
     )
@@ -129,32 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=1)
     theory.add_argument("--no-flush", action="store_true")
 
-    staticcheck = commands.add_parser(
-        "staticcheck",
-        help="static leakage analysis (secret-dependent lookups/branches)",
-    )
-    staticcheck.add_argument(
-        "staticcheck_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.staticcheck",
-    )
-
-    perf = commands.add_parser(
-        "perf",
-        help="microbenchmark the hot paths and gate on perf ratios",
-    )
-    perf.add_argument(
-        "perf_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.perf",
-    )
-
-    trace = commands.add_parser(
-        "trace",
-        help="record, replay, convert and inspect attack traces (L0)",
-    )
-    trace.add_argument(
-        "trace_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to the trace front-end",
-    )
+    for name, (_, help_text) in _DELEGATES.items():
+        commands.add_parser(name, help=help_text)
     return parser
 
 
@@ -210,30 +189,6 @@ def _parse_assignments(experiment_name: str,
     return overrides
 
 
-def _engine_run(name: str, overrides: Optional[Dict[str, Any]] = None,
-                *, workers: int = 1, use_cache: bool = True,
-                as_json: bool = False, progress: bool = False) -> int:
-    record = run_experiment(
-        name,
-        overrides,
-        workers=workers,
-        use_cache=use_cache,
-        artifact_dir=results_dir(),
-        progress=ProgressPrinter() if progress else None,
-    )
-    if as_json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        print(render_record(record))
-        telemetry = record["telemetry"]
-        print(f"[{record['experiment_id']} {record['experiment']}: "
-              f"{telemetry['trials_total']} trials, "
-              f"{telemetry['wall_time_s']:.2f} s, "
-              f"{telemetry['trials_per_s']:.1f} trials/s, "
-              f"cache {telemetry['cache']}]")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.list_experiments or args.experiment is None:
         if args.experiment is None and not args.list_experiments:
@@ -261,45 +216,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides.setdefault("seed", args.seed)
     if args.full and "max_simulated_effort" in param_names:
         overrides.setdefault("max_simulated_effort", FULL_EFFORT)
-    return _engine_run(
+    record = run_experiment(
         experiment.name,
         overrides,
         workers=args.workers,
         use_cache=not args.no_cache,
-        as_json=args.as_json,
-        progress=not args.as_json,
-    )
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    overrides = {"runs": args.runs}
-    if args.full:
-        overrides["max_simulated_effort"] = FULL_EFFORT
-    return _engine_run("figure3", overrides)
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    overrides = {"runs": args.runs}
-    if args.full:
-        overrides["max_simulated_effort"] = FULL_EFFORT
-    return _engine_run("table1", overrides)
-
-
-def _cmd_table2(_: argparse.Namespace) -> int:
-    return _engine_run("table2")
-
-
-def _cmd_countermeasures(args: argparse.Namespace) -> int:
-    record = run_experiment(
-        "countermeasures", {"seed": args.seed},
         artifact_dir=results_dir(),
+        progress=None if args.as_json else ProgressPrinter(),
     )
-    for cell in record["cells"]:
-        verdict = "defeated" if cell["attack_defeated"] else "NOT defeated"
-        leak = ("channel closed" if not cell["protected_leaks"]
-                else "channel still open")
-        print(f"{cell['name']}: GRINCH {verdict} "
-              f"({cell['failure_mode'] or 'key recovered'}), {leak}")
+    if args.as_json:
+        print(json.dumps(record, indent=2, sort_keys=True))
+        return 0
+    print(render_record(record))
+    telemetry = record["telemetry"]
+    print(f"[{record['experiment_id']} {record['experiment']}: "
+          f"{telemetry['trials_total']} trials, "
+          f"{telemetry['wall_time_s']:.2f} s, "
+          f"{telemetry['trials_per_s']:.1f} trials/s, "
+          f"cache {telemetry['cache']}]")
     return 0
 
 
@@ -320,54 +254,19 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_staticcheck(args: argparse.Namespace) -> int:
-    from .staticcheck.cli import main as staticcheck_main
-
-    return staticcheck_main(args.staticcheck_args)
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .perf.cli import main as perf_main
-
-    return perf_main(args.perf_args)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .tracecli import main as trace_main
-
-    return trace_main(args.trace_args)
-
-
 _HANDLERS = {
     "attack": _cmd_attack,
     "run": _cmd_run,
-    "figure3": _cmd_figure3,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "countermeasures": _cmd_countermeasures,
     "theory": _cmd_theory,
-    "staticcheck": _cmd_staticcheck,
-    "perf": _cmd_perf,
-    "trace": _cmd_trace,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["perf"]:
-        # argparse.REMAINDER refuses leading optionals (``perf --quick``),
-        # so hand the tail straight to the perf front-end.
-        return _cmd_perf(argparse.Namespace(perf_args=argv[1:]))
-    if argv[:1] == ["staticcheck"]:
-        # Same REMAINDER limitation for ``staticcheck --json`` and the
-        # ``staticcheck leakage ...`` quantitative front-end.
-        return _cmd_staticcheck(
-            argparse.Namespace(staticcheck_args=argv[1:])
-        )
-    if argv[:1] == ["trace"]:
-        # Same REMAINDER limitation for ``trace record --target ...``.
-        return _cmd_trace(argparse.Namespace(trace_args=argv[1:]))
+    if argv and argv[0] in _DELEGATES:
+        module, _ = _DELEGATES[argv[0]]
+        return importlib.import_module(module).main(argv[1:])
     args = _build_parser().parse_args(argv)
     return _HANDLERS[args.command](args)
 

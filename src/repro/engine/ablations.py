@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table, render_series
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
@@ -76,8 +78,6 @@ def _probe_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _probe_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     return format_table(
         "E6 — Probing primitive ablation (first-round attack)",
         ["Strategy", "Mean encryptions", "Key bits recovered"],
@@ -134,8 +134,6 @@ def _theory_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _theory_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                      trials: List[Any]) -> Dict[str, Any]:
-    from ..analysis.theory import expected_first_round_effort
-
     summary = trial_summary(trials)
     predicted = expected_first_round_effort(
         cell["line_words"], cell["probing_round"], use_flush=True
@@ -152,8 +150,6 @@ def _theory_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _theory_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     return format_table(
         "E7 — Analytic effort model vs. Monte-Carlo simulation",
         ["Line words", "Probing round", "Predicted", "Measured",
@@ -214,8 +210,6 @@ def _policy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _policy_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     return format_table(
         "E8 — replacement policy sensitivity",
         ["Policy", "Encryptions", "Bits recovered"],
@@ -286,8 +280,6 @@ def _noise_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _noise_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     return format_table(
         "E9 — co-runner noise sensitivity (first-round attack)",
         ["P(noisy window)", "Touches/window", "Mean encryptions",
@@ -367,8 +359,6 @@ def _taxonomy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _taxonomy_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     labels = {"access": "access-driven (GRINCH)",
               "trace": "trace-driven", "time": "time-driven"}
     return format_table(
@@ -433,8 +423,6 @@ def _gift128_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _gift128_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import render_series
-
     summary = record["cells"][0]["summary"]
     return render_series(
         f"E11 — GRINCH on GIFT-128 ({record['params']['runs']} random "
@@ -531,8 +519,6 @@ def _hierarchy_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _hierarchy_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     labels = {
         "baseline": "single shared L1 (paper setup)",
         "inclusive": "cross-core, inclusive shared L2",
@@ -604,8 +590,6 @@ def _noc_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
 
 
 def _noc_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         interval = cell["cell"]["traffic_interval_cycles"]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Type
 
 #: Schema identifier embedded in every record.
 SCHEMA_ID = "repro.engine/result/v1"
@@ -48,13 +48,23 @@ class ArtifactSchemaError(ValueError):
     """A record does not conform to :data:`SCHEMA_ID`."""
 
 
-def _require(record: Mapping[str, Any], field: str, kinds,
-             where: str) -> Any:
+def require_field(record: Mapping[str, Any], field: str, kinds,
+                  where: str,
+                  error: Type[ValueError] = ArtifactSchemaError) -> Any:
+    """Return ``record[field]`` if present and of one of ``kinds``.
+
+    Shared by every record validator (engine results, perf records);
+    ``error`` is the schema error class the caller raises.  ``bool`` is
+    an ``int`` subclass, but it never satisfies a numeric field: a bool
+    passes only where ``kinds`` names ``bool`` itself.
+    """
     if field not in record:
-        raise ArtifactSchemaError(f"{where}: missing field {field!r}")
+        raise error(f"{where}: missing field {field!r}")
     value = record[field]
-    if not isinstance(value, kinds):
-        raise ArtifactSchemaError(
+    allowed = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, allowed) or (
+            isinstance(value, bool) and bool not in allowed):
+        raise error(
             f"{where}: field {field!r} has type {type(value).__name__}"
         )
     return value
@@ -64,53 +74,46 @@ def validate_record(record: Mapping[str, Any]) -> None:
     """Validate one result record; raises :class:`ArtifactSchemaError`."""
     if not isinstance(record, Mapping):
         raise ArtifactSchemaError("record must be an object")
-    schema = _require(record, "schema", str, "record")
+    schema = require_field(record, "schema", str, "record")
     if schema != SCHEMA_ID:
         raise ArtifactSchemaError(
             f"record: schema {schema!r} != {SCHEMA_ID!r}"
         )
-    _require(record, "experiment", str, "record")
-    _require(record, "experiment_id", str, "record")
-    _require(record, "title", str, "record")
-    _require(record, "params", Mapping, "record")
-    cells = _require(record, "cells", list, "record")
+    require_field(record, "experiment", str, "record")
+    require_field(record, "experiment_id", str, "record")
+    require_field(record, "title", str, "record")
+    require_field(record, "params", Mapping, "record")
+    cells = require_field(record, "cells", list, "record")
     for index, cell in enumerate(cells):
         where = f"cells[{index}]"
         if not isinstance(cell, Mapping):
             raise ArtifactSchemaError(f"{where}: must be an object")
-        _require(cell, "cell", Mapping, where)
-        _require(cell, "trials", list, where)
-        if "summary" not in cell:
-            raise ArtifactSchemaError(f"{where}: missing field 'summary'")
-        if cell["summary"] is not None:
-            summary = cell["summary"]
-            if not isinstance(summary, Mapping):
-                raise ArtifactSchemaError(f"{where}.summary: must be an "
-                                          f"object or null")
+        require_field(cell, "cell", Mapping, where)
+        require_field(cell, "trials", list, where)
+        summary = require_field(cell, "summary", (Mapping, type(None)),
+                                where)
+        if summary is not None:
             for field in ("mean", "min", "max", "n"):
-                _require(summary, field, (int, float), f"{where}.summary")
-        if "confidence" in cell and cell["confidence"] is not None:
-            confidence = cell["confidence"]
-            if not isinstance(confidence, Mapping):
-                raise ArtifactSchemaError(f"{where}.confidence: must be "
-                                          f"an object or null")
+                require_field(summary, field, (int, float), f"{where}.summary")
+        if cell.get("confidence") is not None:
+            confidence = require_field(cell, "confidence", Mapping, where)
             for field in ("mean", "min", "n"):
-                _require(confidence, field, (int, float),
+                require_field(confidence, field, (int, float),
                          f"{where}.confidence")
-    _require(record, "summary", Mapping, "record")
-    telemetry = _require(record, "telemetry", Mapping, "record")
-    _require(telemetry, "engine_version", int, "telemetry")
-    _require(telemetry, "workers", int, "telemetry")
-    _require(telemetry, "trials_total", int, "telemetry")
-    _require(telemetry, "wall_time_s", (int, float), "telemetry")
-    _require(telemetry, "trials_per_s", (int, float), "telemetry")
-    cache_state = _require(telemetry, "cache", str, "telemetry")
+    require_field(record, "summary", Mapping, "record")
+    telemetry = require_field(record, "telemetry", Mapping, "record")
+    require_field(telemetry, "engine_version", int, "telemetry")
+    require_field(telemetry, "workers", int, "telemetry")
+    require_field(telemetry, "trials_total", int, "telemetry")
+    require_field(telemetry, "wall_time_s", (int, float), "telemetry")
+    require_field(telemetry, "trials_per_s", (int, float), "telemetry")
+    cache_state = require_field(telemetry, "cache", str, "telemetry")
     if cache_state not in CACHE_STATES:
         raise ArtifactSchemaError(
             f"telemetry: cache {cache_state!r} not in {CACHE_STATES}"
         )
-    _require(telemetry, "cache_key", str, "telemetry")
-    _require(telemetry, "code_fingerprint", str, "telemetry")
+    require_field(telemetry, "cache_key", str, "telemetry")
+    require_field(telemetry, "code_fingerprint", str, "telemetry")
 
 
 def trial_summary(samples: List[float]) -> Optional[Dict[str, float]]:

@@ -20,6 +20,7 @@ import hashlib
 import time
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table
 from ..seeding import derive_key, derive_rng
 from ..staticcheck import declassify
 from ..targets import get_target
@@ -179,8 +180,6 @@ def _summarize(params: Mapping[str, Any],
 
 
 def _render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     timed = bool(record["params"].get("timed"))
     headers = ["Target", "Blocks", "Vectorized", "Equivalent", "Checksum"]
     if timed:

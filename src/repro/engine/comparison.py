@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..channel.primitive import PRIMITIVE_NAMES
 from ..core.attack import GrinchAttack
@@ -84,8 +86,6 @@ def _primitive_list(params: Mapping[str, Any]) -> List[str]:
 
 def _effort_budget(params: Mapping[str, Any]) -> int:
     """``budget_factor`` x analytic lossless effort of the scope."""
-    from ..analysis.theory import expected_first_round_effort
-
     per_round = expected_first_round_effort(
         line_words=params["line_words"],
         probing_round=params["probing_round"],
@@ -203,8 +203,6 @@ def _comparison_summarize(params: Mapping[str, Any],
 
 
 def _comparison_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     ratios = record["summary"]["effort_vs_flush_reload"]
     rows = []
     for cell in record["cells"]:

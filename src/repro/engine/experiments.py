@@ -17,6 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..analysis.reporting import (
+    format_table,
+    render_figure3,
+    render_series,
+    render_table1,
+    render_table2,
+)
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
@@ -37,16 +45,6 @@ from ..seeding import derive_key
 
 #: Paper's drop-out threshold for Table I (re-exported via the engine).
 DROPOUT_THRESHOLD: int = 1_000_000
-
-
-def _expected_effort(line_words: int, probing_round: int,
-                     use_flush: bool) -> float:
-    from ..analysis.theory import expected_first_round_effort
-
-    return expected_first_round_effort(
-        line_words=line_words, probing_round=probing_round,
-        use_flush=use_flush,
-    )
 
 
 def _first_round_encryptions(seed: int, config: AttackConfig) -> float:
@@ -76,7 +74,8 @@ def _figure3_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     plan = []
     for use_flush in (True, False):
         for probing_round in params["probing_rounds"]:
-            expected = _expected_effort(1, probing_round, use_flush)
+            expected = expected_first_round_effort(1, probing_round,
+                                                   use_flush)
             simulated = expected <= params["max_simulated_effort"]
             plan.append(CellPlan(
                 cell={"probing_round": probing_round,
@@ -99,8 +98,8 @@ def _figure3_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _figure3_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                       trials: List[Any]) -> Dict[str, Any]:
-    expected = _expected_effort(1, cell["probing_round"],
-                                cell["use_flush"])
+    expected = expected_first_round_effort(1, cell["probing_round"],
+                                           cell["use_flush"])
     summary = trial_summary(trials)
     return {
         "cell": cell,
@@ -120,13 +119,6 @@ def _figure3_summarize(params: Mapping[str, Any],
     }
 
 
-def _figure3_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import figure3_result_from_record
-    from ..analysis.reporting import render_figure3
-
-    return render_figure3(figure3_result_from_record(record))
-
-
 register(Experiment(
     name="figure3",
     experiment_id="E1",
@@ -137,7 +129,7 @@ register(Experiment(
     trial=_figure3_trial,
     finalize=_figure3_finalize,
     summarize=_figure3_summarize,
-    render=_figure3_render,
+    render=render_figure3,
     aliases=("fig3",),
 ))
 
@@ -166,7 +158,8 @@ def _table1_plan(params: Mapping[str, Any]) -> List[CellPlan]:
     plan = []
     for line_words in params["line_sizes"]:
         for probing_round in params["probing_rounds"]:
-            expected = _expected_effort(line_words, probing_round, True)
+            expected = expected_first_round_effort(line_words,
+                                                   probing_round, True)
             simulate = (expected <= params["dropout_threshold"]
                         and expected <= params["max_simulated_effort"])
             plan.append(CellPlan(
@@ -195,8 +188,8 @@ def _table1_trial(params: Mapping[str, Any], cell: Dict[str, Any],
 
 def _table1_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
                      trials: List[Any]) -> Dict[str, Any]:
-    expected = _expected_effort(cell["line_words"],
-                                cell["probing_round"], True)
+    expected = expected_first_round_effort(cell["line_words"],
+                                           cell["probing_round"], True)
     simulated = bool(trials)
     samples = [t for t in trials if t is not None]
     if simulated:
@@ -230,13 +223,6 @@ def _table1_summarize(params: Mapping[str, Any],
     }
 
 
-def _table1_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import table1_result_from_record
-    from ..analysis.reporting import render_table1
-
-    return render_table1(table1_result_from_record(record))
-
-
 register(Experiment(
     name="table1",
     experiment_id="E2",
@@ -247,7 +233,7 @@ register(Experiment(
     trial=_table1_trial,
     finalize=_table1_finalize,
     summarize=_table1_summarize,
-    render=_table1_render,
+    render=render_table1,
 ))
 
 
@@ -299,13 +285,6 @@ def _table2_finalize(params: Mapping[str, Any], cell: Dict[str, Any],
     }
 
 
-def _table2_render(record: Dict[str, Any]) -> str:
-    from ..analysis.experiments import table2_result_from_record
-    from ..analysis.reporting import render_table2
-
-    return render_table2(table2_result_from_record(record))
-
-
 register(Experiment(
     name="table2",
     experiment_id="E3",
@@ -314,7 +293,7 @@ register(Experiment(
     plan=_table2_plan,
     trial=_table2_trial,
     finalize=_table2_finalize,
-    render=_table2_render,
+    render=render_table2,
 ))
 
 #: Sanity link between the spec default and the paper constant.
@@ -399,8 +378,6 @@ def _full_key_summarize(params: Mapping[str, Any],
 
 
 def _full_key_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import render_series
-
     summary = record["cells"][0]["summary"]
     return render_series(
         f"E4 — Full 128-bit key recovery (paper: < 400 encryptions; "
@@ -476,8 +453,6 @@ def _countermeasures_summarize(params: Mapping[str, Any],
 
 
 def _countermeasures_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = [
         [
             cell["name"],

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
@@ -102,8 +103,6 @@ def _present_summarize(params: Mapping[str, Any],
 
 
 def _present_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         summary = cell["summary"]
@@ -194,8 +193,6 @@ def _matrix_summarize(params: Mapping[str, Any],
 
 
 def _matrix_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         summary = cell["summary"]

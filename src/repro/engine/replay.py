@@ -22,6 +22,7 @@ import hashlib
 from pathlib import Path
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table
 from ..channel.degradation import LossyChannel
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
@@ -170,8 +171,6 @@ def _replay_summarize(params: Mapping[str, Any],
 
 
 def _replay_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         rows.append([

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
+from ..analysis.reporting import format_table
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..core.attack import GrinchAttack
 from ..core.config import AttackConfig
@@ -62,8 +64,6 @@ _ROBUSTNESS_SPEC = spec(
 
 def _full_key_budget(params: Mapping[str, Any]) -> int:
     """Encryption budget: ``budget_factor`` x lossless full-key effort."""
-    from ..analysis.theory import expected_first_round_effort
-
     per_round = expected_first_round_effort(
         line_words=params["line_words"],
         probing_round=params["probing_round"],
@@ -165,8 +165,6 @@ def _robustness_summarize(params: Mapping[str, Any],
 
 
 def _robustness_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         summary = cell["summary"]

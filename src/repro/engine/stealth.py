@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..analysis.reporting import format_table
+from ..analysis.theory import expected_first_round_effort
 from ..cache.geometry import CacheGeometry
 from ..cache.multilevel import InclusionPolicy
 from ..channel.defender import DefenderObserver, DetectionPolicy
@@ -118,8 +120,6 @@ def _scenario_list(params: Mapping[str, Any]) -> List[str]:
 
 def _effort_budget(params: Mapping[str, Any]) -> int:
     """``budget_factor`` x analytic lossless effort of the scope."""
-    from ..analysis.theory import expected_first_round_effort
-
     per_round = expected_first_round_effort(
         line_words=params["line_words"],
         probing_round=1,
@@ -337,8 +337,6 @@ def _stealth_summarize(params: Mapping[str, Any],
 
 
 def _stealth_render(record: Dict[str, Any]) -> str:
-    from ..analysis.reporting import format_table
-
     rows = []
     for cell in record["cells"]:
         summary = cell["summary"]

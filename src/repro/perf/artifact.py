@@ -42,9 +42,11 @@ from __future__ import annotations
 import json
 import platform
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
+from ..engine.artifact import require_field
 from .suite import (
     MAX_DEFENDER_TAP_OVERHEAD,
     MIN_BATCH_OVER_UNTRACED,
@@ -68,16 +70,7 @@ class PerfSchemaError(ValueError):
     """A record does not conform to :data:`SCHEMA_ID`."""
 
 
-def _require(record: Mapping[str, Any], field: str, kinds,
-             where: str) -> Any:
-    if field not in record:
-        raise PerfSchemaError(f"{where}: missing field {field!r}")
-    value = record[field]
-    if not isinstance(value, kinds):
-        raise PerfSchemaError(
-            f"{where}: field {field!r} has type {type(value).__name__}"
-        )
-    return value
+_require = partial(require_field, error=PerfSchemaError)
 
 
 def validate_record(record: Mapping[str, Any]) -> None:
@@ -103,25 +96,15 @@ def validate_record(record: Mapping[str, Any]) -> None:
         _require(bench, "seconds", (int, float), where)
         _require(bench, "ops_per_s", (int, float), where)
     ratios = _require(record, "ratios", Mapping, "record")
-    for name, value in ratios.items():
-        if not isinstance(value, (int, float)):
-            raise PerfSchemaError(
-                f"ratios[{name!r}] has type {type(value).__name__}"
-            )
+    for name in ratios:
+        _require(ratios, name, (int, float), "ratios")
     gates = _require(record, "gates", Mapping, "record")
     _require(gates, "min_untraced_over_traced", (int, float), "gates")
     _require(gates, "min_batch_over_untraced", (int, float), "gates")
     _require(gates, "max_defender_tap_overhead", (int, float), "gates")
     _require(gates, "regression_headroom", (int, float), "gates")
-    if "baseline_untraced_over_traced" not in gates:
-        raise PerfSchemaError(
-            "gates: missing field 'baseline_untraced_over_traced'"
-        )
-    baseline = gates["baseline_untraced_over_traced"]
-    if baseline is not None and not isinstance(baseline, (int, float)):
-        raise PerfSchemaError(
-            "gates: baseline_untraced_over_traced must be a number or null"
-        )
+    _require(gates, "baseline_untraced_over_traced",
+             (int, float, type(None)), "gates")
     _require(gates, "failures", list, "gates")
     _require(gates, "passed", bool, "gates")
     environment = _require(record, "environment", Mapping, "record")

@@ -53,6 +53,12 @@ refactor the repo-wide rules are checked too:
    from L0 is an upward import (replay must work with no cipher and
    no channel in the loop; the CLI glue lives in ``repro.tracecli``
    *outside* the package for exactly this reason).
+7. **Analysis layer**: ``repro.analysis`` (effort model, statistics,
+   ASCII renderers) sits below the experiment engine — it must not
+   import ``repro.engine``.  The engine's render hooks call the
+   analysis renderers on their records, never the reverse, so the
+   deleted ``repro.analysis.experiments`` wrapper layer cannot grow
+   back.
 
 The check is a small AST walk (the repo deliberately has no
 import-linter dependency) and runs in CI and the test suite:
@@ -112,8 +118,12 @@ TRACE_FORBIDDEN = (
     "repro.soc",
 )
 
-#: Deleted deprecation shims — importing them anywhere is an error.
-#: (This rule replaces the retired ``deprecation-shims`` CI job.)
+#: The analysis layer sits below the engine that consumes it.
+ANALYSIS_FORBIDDEN = ("repro.engine",)
+
+#: Deleted deprecation shims and wrapper modules — importing them
+#: anywhere is an error.  (This rule replaces the retired
+#: ``deprecation-shims`` CI job.)
 BANNED_MODULES = (
     "repro.core.runner",
     "repro.core.probe",
@@ -121,6 +131,7 @@ BANNED_MODULES = (
     "repro.core.noise",
     "repro.variants.observations",
     "repro.engine.seeding",
+    "repro.analysis.experiments",
 )
 
 
@@ -233,7 +244,8 @@ def _in_package(module: str, prefixes: Tuple[str, ...]) -> bool:
 
 
 def check_package_layering(src_dir: Optional[Path] = None) -> List[str]:
-    """Repo-wide rules: cipher encapsulation, targets layer, shim ban."""
+    """Repo-wide rules: cipher encapsulation, targets, trace and
+    analysis layers, deleted-module ban."""
     if src_dir is None:
         src_dir = Path(__file__).resolve().parent.parent.parent
     repro_dir = src_dir / "repro"
@@ -268,10 +280,17 @@ def check_package_layering(src_dir: Optional[Path] = None) -> List[str]:
                     f"L0 (repro.trace) sits below the whole stack and "
                     f"may import nothing above itself"
                 )
+            if _in_package(module, ("repro.analysis",)) \
+                    and _in_package(imported, ANALYSIS_FORBIDDEN):
+                violations.append(
+                    f"{path}:{lineno}: {module} imports {imported} — "
+                    f"repro.analysis sits below the experiment engine "
+                    f"and must not import it"
+                )
             if _in_package(imported, BANNED_MODULES):
                 violations.append(
-                    f"{path}:{lineno}: {module} imports the deleted "
-                    f"deprecation shim {imported}"
+                    f"{path}:{lineno}: {module} imports {imported}, a "
+                    f"deleted deprecation shim or wrapper module"
                 )
     return violations
 
@@ -292,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("channel layering OK "
           f"({len(CHANNEL_LAYERS)} modules, L1 -> L5 acyclic); "
           "package layering OK (cipher encapsulation, targets layer, "
-          "trace layer L0, shim ban)")
+          "trace layer L0, analysis layer, shim ban)")
     return 0
 
 

@@ -65,6 +65,14 @@ class TestValidateRecord:
         with pytest.raises(ArtifactSchemaError):
             validate_record(broken)
 
+    @pytest.mark.parametrize("field", ["workers", "engine_version"])
+    def test_bool_is_not_an_int(self, record, field):
+        # bool subclasses int; a flag must not pass as a count.
+        broken = copy.deepcopy(record)
+        broken["telemetry"][field] = True
+        with pytest.raises(ArtifactSchemaError):
+            validate_record(broken)
+
     def test_record_is_json_round_trippable(self, record):
         import json
 

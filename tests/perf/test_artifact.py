@@ -92,6 +92,23 @@ class TestValidateRecord:
         with pytest.raises(PerfSchemaError):
             validate_record(record)
 
+    @pytest.mark.parametrize("path", [
+        ("seed",),
+        ("benchmarks", 0, "ops"),
+        ("ratios", "gift64_untraced_over_traced"),
+    ])
+    def test_rejects_bool_as_number(self, path):
+        # bool subclasses int (and ``True < 1`` is false), so without an
+        # explicit check a flag would pass as a count or a ratio.
+        record = build_record(make_report())
+        *parents, leaf = path
+        target = record
+        for key in parents:
+            target = target[key]
+        target[leaf] = True
+        with pytest.raises(PerfSchemaError):
+            validate_record(record)
+
     def test_rejects_non_mapping(self):
         with pytest.raises(PerfSchemaError):
             validate_record([])

@@ -2,6 +2,7 @@
 must be clean, and each rule must fire on a synthetic violator."""
 
 from repro.staticcheck.layering import (
+    ANALYSIS_FORBIDDEN,
     BANNED_MODULES,
     CHANNEL_LAYERS,
     CIPHER_PACKAGES,
@@ -173,6 +174,26 @@ class TestPackageLayering:
         })
         violations = check_package_layering(src)
         assert any("repro.variants.observations" in v for v in violations)
+
+    def test_analysis_importing_the_engine_is_flagged(self, tmp_path):
+        assert "repro.engine" in ANALYSIS_FORBIDDEN
+        src = make_src(tmp_path, {
+            "analysis/reporting.py":
+                "from ..engine import run_experiment\n",
+            "engine/experiments.py":
+                "from ..analysis.reporting import render_table1\n",
+        })
+        violations = check_package_layering(src)
+        assert len(violations) == 1
+        assert "repro.analysis.reporting imports repro.engine" \
+            in violations[0]
+
+    def test_deleted_wrapper_module_is_flagged(self, tmp_path):
+        src = make_src(tmp_path, {
+            "engine/thing.py": "import repro.analysis.experiments\n",
+        })
+        violations = check_package_layering(src)
+        assert any("repro.analysis.experiments" in v for v in violations)
 
     def test_missing_tree_reports_rather_than_crashes(self, tmp_path):
         violations = check_package_layering(tmp_path / "nowhere")

@@ -38,8 +38,11 @@ class TestAttackCommand:
 
 
 class TestExperimentCommands:
+    """The paper artefacts run through ``run <name>``; the historical
+    alias sub-commands are gone."""
+
     def test_table2(self, capsys):
-        assert main(["table2"]) == 0
+        assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
         assert "single-core SoC" in out
         assert "MPSoC" in out
@@ -51,18 +54,25 @@ class TestExperimentCommands:
         assert "practical limit" in out
 
     def test_figure3_quick(self, capsys):
-        assert main(["figure3", "--runs", "1"]) == 0
+        assert main(["run", "figure3", "--set", "runs=1"]) == 0
         assert "no-flush" in capsys.readouterr().out
 
     def test_table1_quick(self, capsys):
-        assert main(["table1", "--runs", "1"]) == 0
+        assert main(["run", "table1", "--set", "runs=1"]) == 0
         assert ">1M" in capsys.readouterr().out
 
     def test_countermeasures(self, capsys):
-        assert main(["countermeasures"]) == 0
+        assert main(["run", "countermeasures"]) == 0
         out = capsys.readouterr().out
         assert "defeated" in out
-        assert "channel closed" in out
+        assert "Protected leaks" in out
+
+    @pytest.mark.parametrize("alias", ["figure3", "table1", "table2",
+                                       "countermeasures"])
+    def test_alias_subcommands_are_gone(self, alias):
+        with pytest.raises(SystemExit) as excinfo:
+            main([alias])
+        assert excinfo.value.code == 2
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -140,3 +150,30 @@ class TestRunCommand:
     def test_malformed_assignment_fails(self):
         with pytest.raises(SystemExit):
             main(["run", "table2", "--set", "frequencies_mhz"])
+
+
+class TestDelegatedCommands:
+    """``perf``, ``staticcheck`` and ``trace`` hand their arguments to
+    their own front-end's ``main(argv)``."""
+
+    @pytest.mark.parametrize("sub", ["perf", "staticcheck", "trace"])
+    def test_help_exits_zero(self, sub, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([sub, "--help"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sub", ["perf", "staticcheck", "trace"])
+    def test_listed_in_top_level_help(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert sub in capsys.readouterr().out
+
+    def test_perf_flags_reach_the_perf_front_end(self, monkeypatch):
+        import repro.perf.cli
+
+        seen = []
+        monkeypatch.setattr(repro.perf.cli, "main",
+                            lambda argv: seen.append(argv) or 0)
+        assert main(["perf", "--quick", "--no-artifact"]) == 0
+        assert seen == [["--quick", "--no-artifact"]]

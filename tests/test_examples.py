@@ -24,7 +24,7 @@ FAST_EXAMPLES = [
 ]
 
 
-def _run_example(name: str) -> None:
+def _run_example(name: str, call_main: bool = True) -> None:
     path = EXAMPLES_DIR / name
     spec = importlib.util.spec_from_file_location(
         f"example_{name.removesuffix('.py')}", path
@@ -33,9 +33,19 @@ def _run_example(name: str) -> None:
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
-        module.main()
+        if call_main:
+            module.main()
     finally:
         sys.modules.pop(spec.name, None)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
+)
+def test_example_imports(name):
+    """Every example imports cleanly, including the sweep-style ones
+    ``test_example_runs`` skips, so a stale import fails here."""
+    _run_example(name, call_main=False)
 
 
 @pytest.mark.parametrize("name", FAST_EXAMPLES)
